@@ -748,9 +748,12 @@ func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, 
 		fmt.Fprintln(out)
 	}
 	if stats {
-		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d revisits=%d/%d (taken/tried) repair-fails=%d max-graph=%d\n",
+		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d revisits=%d/%d (taken/tried) chain-skipped=%d max-graph=%d\n",
 			res.States, res.MemoHits, res.ConsistencyChecks,
-			res.RevisitsTaken, res.RevisitsTried, res.RevisitsRepairFail, res.MaxGraphEvents)
+			res.RevisitsTaken, res.RevisitsTried, res.RevisitsChainSkipped, res.MaxGraphEvents)
+		fmt.Fprintf(out, "  repair-fails=%d (diverged=%d inconsistent=%d doomed=%d oota=%d)\n",
+			res.RevisitsRepairFail, res.RevisitsRepairFailDiverged, res.RevisitsRepairFailInconsistent,
+			res.RevisitsRepairFailDoomed, res.RevisitsRepairFailOOTA)
 		if static {
 			fmt.Fprintf(out, "  static-pruned: rf=%d co=%d revisit-scans=%d\n",
 				res.StaticPrunedRf, res.StaticPrunedCo, res.StaticPrunedScans)

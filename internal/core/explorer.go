@@ -236,19 +236,34 @@ func (e ErrorReport) String() string {
 // Stats aggregates exploration metrics; these are the numbers the paper's
 // tables report (executions explored, blocked executions, revisits, …).
 type Stats struct {
-	Executions         int // complete consistent executions
-	ExistsCount        int // executions satisfying the program's Exists clause
-	Blocked            int // executions ending with a blocked thread
-	Duplicates         int // duplicate executions suppressed (must stay 0)
-	RevisitsTried      int // backward revisit candidates considered
-	RevisitsTaken      int
-	States             int // distinct exploration states visited
-	MemoHits           int // states reached again and pruned by the memo
-	RevisitsRepairFail int // rejected because repair diverged or failed to converge
-	RevisitsPorfSkip   int // skipped by the PorfOnlyRevisits ablation
-	ConsistencyChecks  int
-	StuckReads         int // reads with no consistent rf option (must stay 0)
-	MaxGraphEvents     int
+	Executions    int // complete consistent executions
+	ExistsCount   int // executions satisfying the program's Exists clause
+	Blocked       int // executions ending with a blocked thread
+	Duplicates    int // duplicate executions suppressed (must stay 0)
+	RevisitsTried int // backward revisit candidates considered
+	RevisitsTaken int
+	States        int // distinct exploration states visited
+	MemoHits      int // states reached again and pruned by the memo
+	// RevisitsRepairFail counts tried revisits that explored nothing; it
+	// is always the sum of the four RevisitsRepairFail* causes below.
+	RevisitsRepairFail int
+	// Phase 2 (taint-pruned keep set) rebound r, and replay diverged
+	// structurally or its values failed to converge.
+	RevisitsRepairFailDiverged int
+	// Repair converged, but the model rejected the rebound graph.
+	RevisitsRepairFailInconsistent int
+	// Phase 2 would have had to delete the revisiting write or r itself.
+	RevisitsRepairFailDoomed int
+	// Phase 1 failed and nothing was prunable: a genuine value cycle
+	// (out-of-thin-air), which constructive exploration rejects.
+	RevisitsRepairFailOOTA int
+	// RevisitsChainSkipped counts update reads a revisiting update never
+	// tries: forward chain steals already build those pairs (revisit.go).
+	RevisitsChainSkipped int
+	RevisitsPorfSkip     int // skipped by the PorfOnlyRevisits ablation
+	ConsistencyChecks    int
+	StuckReads           int // reads with no consistent rf option (must stay 0)
+	MaxGraphEvents       int
 	// Static-pruning counters (Options.StaticAnalysis): work skipped
 	// because the location footprint proved it fruitless.
 	StaticPrunedRf    int // non-co-maximal rf candidates skipped (thread-local locations)
@@ -586,8 +601,11 @@ func (e *explorer) fork(task func()) {
 // deterministic, so two graphs with equal keys have identical futures, and
 // each state — in particular each complete execution — is explored exactly
 // once. The memo is also what guarantees termination: the state space of a
-// bounded program is finite, while revisit chains could otherwise rebuild
-// semantically identical graphs forever.
+// bounded program is finite, while revisit chains on load-buffering and
+// spinlock shapes could otherwise rebuild semantically identical graphs
+// forever. RMW chains do not need it: their update→update pairs are
+// reached forward by chain steals and never backward-revisited (see
+// revisitsFrom), so counters run with MemoHits = 0.
 func (e *explorer) visit(g *eg.Graph) {
 	if e.sink != nil {
 		*e.sink = append(*e.sink, g)
@@ -832,8 +850,11 @@ func (e *explorer) step(g *eg.Graph, t int, a interp.Action) {
 // coherence-immediately after w and u is rebound to read from it (values
 // downstream repaired). This is the GenMC treatment of RMW chains — every
 // permutation of an atomic-update chain is reached forward, with no
-// deletions — and it is why backward revisits never target updates with
-// an update revisitor (that pair is exactly a steal).
+// deletions — and it is why revisitsFrom skips updates when the revisitor
+// is an update: that pair is exactly a steal, so the backward revisit
+// would only rebuild a state the steal already built (the completeness
+// argument is on revisitsFrom). The only update→update revisit left is
+// the steal's own fallback below, when the rebind diverges.
 func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 	ws := g.WritesTo(a.Loc) // coherence order, init first
 	if len(ws) > 1 && e.pruneRF(a.Loc) {

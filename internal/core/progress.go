@@ -103,26 +103,32 @@ func (e *explorer) snapshotProgress(frontier int, final bool) obs.ProgressSnapsh
 	p.seq++
 	elapsed := time.Since(p.start)
 	snap := obs.ProgressSnapshot{
-		Seq:               p.seq,
-		Wave:              e.wave,
-		Executions:        s.Executions,
-		Blocked:           s.Blocked,
-		States:            s.States,
-		MemoHits:          s.MemoHits,
-		MemoSize:          memo,
-		Frontier:          frontier,
-		RevisitsTried:     s.RevisitsTried,
-		RevisitsTaken:     s.RevisitsTaken,
-		ConsistencyChecks: s.ConsistencyChecks,
-		StaticPrunedRf:    s.StaticPrunedRf,
-		StaticPrunedCo:    s.StaticPrunedCo,
-		StaticPrunedScans: s.StaticPrunedScans,
-		Elapsed:           elapsed,
-		ExecsPerSec:       obs.Rate(s.Executions, elapsed),
-		ChecksPerSec:      obs.Rate(s.ConsistencyChecks, elapsed),
-		EstimateMean:      obs.Finite(p.opts.EstimateMean),
-		Phases:            e.phaseTimes(),
-		Final:             final,
+		Seq:                            p.seq,
+		Wave:                           e.wave,
+		Executions:                     s.Executions,
+		Blocked:                        s.Blocked,
+		States:                         s.States,
+		MemoHits:                       s.MemoHits,
+		MemoSize:                       memo,
+		Frontier:                       frontier,
+		RevisitsTried:                  s.RevisitsTried,
+		RevisitsTaken:                  s.RevisitsTaken,
+		ConsistencyChecks:              s.ConsistencyChecks,
+		StaticPrunedRf:                 s.StaticPrunedRf,
+		StaticPrunedCo:                 s.StaticPrunedCo,
+		StaticPrunedScans:              s.StaticPrunedScans,
+		RevisitsChainSkipped:           s.RevisitsChainSkipped,
+		RevisitsRepairFail:             s.RevisitsRepairFail,
+		RevisitsRepairFailDiverged:     s.RevisitsRepairFailDiverged,
+		RevisitsRepairFailInconsistent: s.RevisitsRepairFailInconsistent,
+		RevisitsRepairFailDoomed:       s.RevisitsRepairFailDoomed,
+		RevisitsRepairFailOOTA:         s.RevisitsRepairFailOOTA,
+		Elapsed:                        elapsed,
+		ExecsPerSec:                    obs.Rate(s.Executions, elapsed),
+		ChecksPerSec:                   obs.Rate(s.ConsistencyChecks, elapsed),
+		EstimateMean:                   obs.Finite(p.opts.EstimateMean),
+		Phases:                         e.phaseTimes(),
+		Final:                          final,
 	}
 	if !final {
 		snap.ETA = obs.ETA(snap.EstimateMean, s.Executions, snap.ExecsPerSec)
@@ -169,6 +175,13 @@ func (e *explorer) traceRevisit(kind string, w, r eg.EvID) {
 		return
 	}
 	e.tracer.Emit(obs.TraceEvent{Kind: kind, Write: evName(w), Read: evName(r)})
+}
+
+func (e *explorer) traceRevisitFailed(w, r eg.EvID, cause string) {
+	if e.tracer == nil {
+		return
+	}
+	e.tracer.Emit(obs.TraceEvent{Kind: "revisit-failed", Write: evName(w), Read: evName(r), Cause: cause})
 }
 
 func (e *explorer) tracePrune(kind string, n int) {

@@ -10,7 +10,26 @@ import (
 // and coherence position. Revisits are computed per forward branch of w's
 // addition, so the kept prefix reflects exactly the bindings of this
 // branch.
+//
+// When w is an update, reads that are themselves updates are skipped: the
+// forward chain steal (stepRead) already builds every such pair. Take a
+// consistent graph G in which an update u reads from the update w, with u
+// added before w. Atomicity puts u coherence-immediately after w, and w
+// reads some write s. Cutting w out of the chain — u reading s instead,
+// values repaired — leaves a consistent graph in which w is still to be
+// added, and which the explorer reaches by induction on the events added.
+// There, w's read branch rf = s finds u already reading s and steals it:
+// w slots in after s and u is rebound to w, which rebuilds G's chain. So
+// every coherence permutation of an atomic-update chain is reached
+// forward, and the backward revisit of u by w could only rebuild a state
+// the steal produces (a memo hit) or fail repair. TestRMWChainsReachedForward
+// and the axenum cross-validation of the update families pin this. Plain
+// reads, and failed CASes (which materialise as plain reads), are still
+// revisited. The skipped reads are counted in Stats.RevisitsChainSkipped
+// and traced as a "chain" prune, once per scan.
 func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
+	chain := g.Event(w).Kind == eg.KUpdate
+	skipped := 0
 	var reads []eg.EvID
 	g.ForEach(func(ev eg.Event) {
 		if !ev.Kind.IsRead() || ev.Loc != loc || ev.ID == w {
@@ -19,8 +38,16 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 		if src, ok := g.RF(ev.ID); ok && src == w {
 			return // already bound to w (e.g. by a chain steal): a no-op
 		}
+		if chain && ev.Kind == eg.KUpdate {
+			skipped++ // update→update: reached forward by a chain steal
+			return
+		}
 		reads = append(reads, ev.ID)
 	})
+	if skipped > 0 {
+		e.count(func(s *Stats) { s.RevisitsChainSkipped += skipped })
+		e.tracePrune("chain", skipped)
+	}
 	for _, r := range reads {
 		if e.stopped() {
 			return
@@ -29,6 +56,15 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 		e.fork(func() { e.revisit(g, w, r) })
 	}
 }
+
+// Causes of a failed revisit: the suffix of the Stats.RevisitsRepairFail*
+// counter it lands in, and the cause of its "revisit-failed" trace event.
+const (
+	failDiverged     = "diverged"
+	failInconsistent = "inconsistent"
+	failDoomed       = "doomed"
+	failOOTA         = "oota"
+)
 
 // revisit performs one backward revisit: the write w (already in g)
 // becomes the rf source of the existing read r. The graph is restricted to
@@ -48,9 +84,15 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 //     executions reachable under hardware memory models;
 //  2. the resulting graph is consistent under the memory model;
 //  3. the resulting exploration state is new (the explorer's state memo;
-//     see explorer.visit). Different branches collapse into the same
-//     revisited state because the revisit erases r's binding and deletes
-//     events; the memo admits exactly one of them.
+//     see explorer.visit). Different branches can still collapse into the
+//     same revisited state — the revisit erases r's binding and deletes
+//     events, so on load-buffering and spinlock shapes two revisits may
+//     rebuild one graph — and the memo admits exactly one of them. RMW
+//     chains do not collapse this way: revisitsFrom leaves their
+//     update→update pairs to the forward chain steal.
+//
+// A revisit that explores nothing is counted in RevisitsRepairFail and in
+// exactly one of its causes (diverged, inconsistent, doomed, oota).
 func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	if e.stopped() {
 		return
@@ -64,38 +106,56 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	ts := e.tRevisit.Start()
 	keep := keepSet(g, w, r)
 	e.tRevisit.Stop(ts)
-	ok := e.rebindAndVisit(g, keep, w, r)
+	if e.rebindAndVisit(g, keep, w, r) == "" {
+		return
+	}
 	// Phase 2: when replay diverged structurally — or the repaired graph
 	// was inconsistent, which extra deletion may cure — events whose
 	// existence hangs on r (control/address dependencies and their
 	// dependents) are deleted and re-derived instead. The state memo
 	// deduplicates any overlap between the phases.
-	if ok {
-		return
-	}
 	ts2 := e.tRevisit.Start()
 	keep2 := keepSet(g, w, r)
 	pruned := pruneTainted(g, keep2, w, r)
 	e.tRevisit.Stop(ts2)
-	if !pruned {
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
-		return
-	}
-	if len(keep2) == len(keep) {
+	switch {
+	case !pruned:
+		e.revisitFailed(w, r, failDoomed)
+	case len(keep2) == len(keep):
 		// Nothing prunable: the divergence is a genuine value cycle
 		// (out-of-thin-air), which constructive exploration rejects.
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
-		return
-	}
-	if !e.rebindAndVisit(g, keep2, w, r) {
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
+		e.revisitFailed(w, r, failOOTA)
+	default:
+		if cause := e.rebindAndVisit(g, keep2, w, r); cause != "" {
+			e.revisitFailed(w, r, cause)
+		}
 	}
 }
 
+// revisitFailed counts a revisit that explored nothing under its cause
+// and traces it.
+func (e *explorer) revisitFailed(w, r eg.EvID, cause string) {
+	e.count(func(s *Stats) {
+		s.RevisitsRepairFail++
+		switch cause {
+		case failDiverged:
+			s.RevisitsRepairFailDiverged++
+		case failInconsistent:
+			s.RevisitsRepairFailInconsistent++
+		case failDoomed:
+			s.RevisitsRepairFailDoomed++
+		case failOOTA:
+			s.RevisitsRepairFailOOTA++
+		}
+	})
+	e.traceRevisitFailed(w, r, cause)
+}
+
 // rebindAndVisit restricts g to keep, rebinds r to w, repairs and — when
-// replay converges — checks consistency and explores. It reports whether
-// the rebound graph both repaired and passed the consistency check.
-func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
+// replay converges — checks consistency and explores. It returns "" when
+// the rebound graph both repaired and passed the consistency check, and
+// otherwise the cause of the failure (failDiverged or failInconsistent).
+func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) string {
 	if e.opts.PorfOnlyRevisits {
 		// Ablation: RC11-style revisits delete everything po-after r.
 		// If a kept event is po-after r the revisit is skipped entirely
@@ -103,7 +163,7 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 		for ev := range keep { //hmc:nondet(existential scan: any po-after hit skips, order-invariant)
 			if ev != w && ev.T == r.T && ev.I > r.I {
 				e.count(func(s *Stats) { s.RevisitsPorfSkip++ })
-				return true
+				return ""
 			}
 		}
 	}
@@ -126,15 +186,15 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 	repaired := interp.RepairAll(e.p, g2, e.opts.MaxSteps)
 	e.tRevisit.Stop(ts)
 	if !repaired {
-		return false
+		return failDiverged
 	}
 	if !e.consistent(g2) {
-		return false
+		return failInconsistent
 	}
 	e.count(func(s *Stats) { s.RevisitsTaken++ })
 	e.traceRevisit("revisit-taken", w, r)
 	e.fork(func() { e.visit(g2) })
-	return true
+	return ""
 }
 
 // keepSet computes the events surviving the revisit (r, w): everything

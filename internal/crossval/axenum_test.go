@@ -6,6 +6,8 @@ import (
 
 	"hmc/internal/axenum"
 	"hmc/internal/core"
+	"hmc/internal/eg"
+	"hmc/internal/gen"
 	"hmc/internal/memmodel"
 	"hmc/internal/prog"
 )
@@ -108,6 +110,30 @@ func TestRandomAgainstReference(t *testing.T) {
 			}
 			if dups != 0 {
 				t.Errorf("%s under %s: %d duplicate executions", p.Name, model, dups)
+			}
+		}
+	}
+}
+
+// TestUpdateFamiliesAgainstReference diffs execution sets on the
+// read-modify-write families that TestRandomAgainstReference's size cap
+// leaves out. Their update chains are built only forward, by chain
+// steals (update→update backward revisits are never tried), so this is
+// the oracle check that no chain permutation is lost. inc(2,3),
+// spinlock(3)+lw and treiber+lw match too, but take minutes in the
+// reference enumerator.
+func TestUpdateFamiliesAgainstReference(t *testing.T) {
+	for _, p := range []*prog.Program{
+		gen.IncN(2, 2), gen.IncN(3, 1), gen.CASContendN(3),
+		gen.SpinlockN(2, eg.FenceLW), gen.IndexerN(2), gen.Peterson(eg.FenceLW),
+	} {
+		for _, model := range memmodel.Names() {
+			missing, extra, dups, refN := refCompare(t, p, model)
+			if extra != 0 || dups != 0 {
+				t.Errorf("%s under %s: extra=%d duplicates=%d", p.Name, model, extra, dups)
+			}
+			if missing != 0 && model != "relaxed" {
+				t.Errorf("%s under %s: %d/%d executions missed", p.Name, model, missing, refN)
 			}
 		}
 	}

@@ -45,7 +45,9 @@ type BenchReport struct {
 
 // benchJobs is the tracked suite. Parametric families rather than corpus
 // litmus tests: big enough that a pruning or revisit regression moves the
-// counters by orders of magnitude, small enough for every CI run.
+// counters by orders of magnitude, small enough for every CI run. The imm
+// and arm rows cover the paper's headline models, where LB(n) does
+// dependency-aware revisits.
 func benchJobs(opts Options) []struct {
 	p     *prog.Program
 	model string
@@ -61,7 +63,8 @@ func benchJobs(opts Options) []struct {
 		{gen.IncN(3, 2), "sc"},
 	}
 	if !opts.Quick {
-		jobs = append(jobs, job{gen.SBN(10), "tso"}, job{gen.IncN(3, 3), "sc"})
+		jobs = append(jobs, job{gen.SBN(10), "tso"}, job{gen.IncN(3, 3), "sc"},
+			job{gen.IncN(3, 3), "imm"}, job{gen.LBN(6), "arm"})
 	}
 	return jobs
 }

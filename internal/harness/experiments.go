@@ -404,7 +404,7 @@ func T7OptimalityStats(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "T7",
 		Title:   "exploration statistics (model: imm)",
-		Columns: []string{"program", "execs", "blocked", "states", "memo hits", "revisits", "repair fails", "duplicates"},
+		Columns: []string{"program", "execs", "blocked", "states", "memo hits", "revisits", "repair fails", "chain skipped", "duplicates"},
 	}
 	var programs []*prog.Program
 	for _, tc := range litmus.Corpus() {
@@ -426,7 +426,7 @@ func T7OptimalityStats(opts Options) (*Table, error) {
 		}
 		totalDup += res.Duplicates
 		t.AddRow(p.Name, res.Executions, res.Blocked, res.States, res.MemoHits,
-			res.RevisitsTaken, res.RevisitsRepairFail, res.Duplicates)
+			res.RevisitsTaken, res.RevisitsRepairFail, res.RevisitsChainSkipped, res.Duplicates)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("total duplicate executions across all programs: %d (optimality)", totalDup))
 	return t, nil
@@ -628,10 +628,11 @@ func T11Symmetry(opts Options) (*Table, error) {
 
 // T12Estimate calibrates the probe estimator against exhaustive counts in
 // its two regimes: tree-shaped spaces (MemoHits = 0 — store/load
-// workloads), where the Knuth estimator is unbiased and lands within a
-// few percent, and revisit-heavy spaces (RMW chains), where the
-// unmemoized probe tree over-counts by path multiplicity and the large
-// spread is the reliability signal.
+// workloads and RMW-chain counters), where the Knuth estimator is
+// unbiased and lands within a few percent, and revisit-heavy spaces
+// (load-buffering and spinlock shapes), where the unmemoized probe tree
+// over-counts by path multiplicity and the large spread is the
+// reliability signal.
 func T12Estimate(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "T12",
@@ -653,6 +654,7 @@ func T12Estimate(opts Options) (*Table, error) {
 		{gen.TwoPlusTwoWN(3), "tso"},
 		{gen.LBN(4), "imm"},
 		{gen.IncN(3, 2), "tso"},
+		{gen.SpinlockN(3, eg.FenceLW), "imm"},
 	}
 	for _, j := range jobs {
 		exact, _, err := exploreOpts("T12", j.p, j.model, core.Options{})

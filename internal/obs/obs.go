@@ -61,6 +61,15 @@ type ProgressSnapshot struct {
 	StaticPrunedRf    int `json:"static_pruned_rf,omitempty"`
 	StaticPrunedCo    int `json:"static_pruned_co,omitempty"`
 	StaticPrunedScans int `json:"static_pruned_scans,omitempty"`
+	// RevisitsChainSkipped counts update→update revisit pairs left to the
+	// forward chain steal. RevisitsRepairFail counts tried revisits that
+	// explored nothing and is the sum of its four causes.
+	RevisitsChainSkipped           int `json:"revisits_chain_skipped,omitempty"`
+	RevisitsRepairFail             int `json:"revisits_repair_fail,omitempty"`
+	RevisitsRepairFailDiverged     int `json:"revisits_repair_fail_diverged,omitempty"`
+	RevisitsRepairFailInconsistent int `json:"revisits_repair_fail_inconsistent,omitempty"`
+	RevisitsRepairFailDoomed       int `json:"revisits_repair_fail_doomed,omitempty"`
+	RevisitsRepairFailOOTA         int `json:"revisits_repair_fail_oota,omitempty"`
 
 	// Elapsed is wall-clock time since exploration began; ExecsPerSec and
 	// ChecksPerSec are overall rates (always finite, 0 when unknown).

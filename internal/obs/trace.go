@@ -14,8 +14,11 @@ import (
 //   - "wave":          Wave, Frontier — a drain wave completed
 //   - "revisit-tried": Write, Read — a backward revisit was considered
 //   - "revisit-taken": Write, Read — the revisit passed repair + consistency
-//   - "prune":         Prune ("rf"|"co"|"scan"), Count — static pruning
-//     skipped that much branching work
+//   - "revisit-failed": Write, Read, Cause ("diverged"|"inconsistent"|
+//     "doomed"|"oota") — the revisit explored nothing, and why
+//   - "prune":         Prune ("rf"|"co"|"scan"|"chain"), Count — that much
+//     branching work was skipped: static pruning, or ("chain")
+//     update→update revisits left to the forward chain steal
 //   - "snapshot":      Snapshot — a progress snapshot (when both Trace and
 //     Progress are enabled)
 type TraceEvent struct {
@@ -28,6 +31,7 @@ type TraceEvent struct {
 	Read     string            `json:"read,omitempty"`
 	Prune    string            `json:"prune,omitempty"`
 	Count    int               `json:"count,omitempty"`
+	Cause    string            `json:"cause,omitempty"`
 	Snapshot *ProgressSnapshot `json:"snapshot,omitempty"`
 }
 

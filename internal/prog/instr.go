@@ -149,7 +149,9 @@ func (p *Program) Validate() error {
 // Fingerprint returns a canonical content hash of the program: its
 // instruction streams, location/register counts and Exists description,
 // but not its Name or location names — two tests that differ only in
-// labelling hash alike. The Exists closure itself cannot be hashed, so
+// labelling hash alike. Every semantic Instr field is hashed, not just
+// what Instr.String shows: the access Mode (so MP and MP+rel+acq differ)
+// and a CAS's Succ register included. The Exists closure itself cannot be hashed, so
 // ExistsDesc stands in for it; programs built from litmus text (where the
 // description is derived from the clause) therefore hash canonically,
 // while hand-built programs must keep ExistsDesc faithful for the hash
@@ -160,7 +162,8 @@ func (p *Program) Fingerprint() string {
 	for t, th := range p.Threads {
 		fmt.Fprintf(h, "T%d regs=%d\n", t, p.NumRegs[t])
 		for pc, in := range th {
-			fmt.Fprintf(h, " %d: %v\n", pc, in)
+			fmt.Fprintf(h, " %d: op=%d dst=%d succ=%d addr=%v val=%v old=%v new=%v cond=%v target=%d fence=%d mode=%d msg=%q\n",
+				pc, in.Op, in.Dst, in.Succ, in.Addr, in.Val, in.Old, in.New, in.Cond, in.Target, in.Fence, in.Mode, in.Msg)
 		}
 	}
 	fmt.Fprintf(h, "exists(%v)=%s\n", p.Exists != nil, p.ExistsDesc)

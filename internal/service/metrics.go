@@ -79,6 +79,13 @@ type Metrics struct {
 	RevisitsTried     atomic.Int64
 	RevisitsTaken     atomic.Int64
 	ConsistencyChecks atomic.Int64
+	// Revisits not explored, by cause: update→update pairs left to the
+	// forward chain steal, and tried revisits that failed repair.
+	RevisitsChainSkipped           atomic.Int64
+	RevisitsRepairFailDiverged     atomic.Int64
+	RevisitsRepairFailInconsistent atomic.Int64
+	RevisitsRepairFailDoomed       atomic.Int64
+	RevisitsRepairFailOOTA         atomic.Int64
 
 	HTTPEncodeErrors atomic.Int64 // JSON responses whose marshal failed (500 fallback served)
 	CacheEvictions   atomic.Int64 // verdict-cache entries dropped by LRU pressure
@@ -340,6 +347,11 @@ func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCa
 	counter("hmcd_revisits_tried_total", "Backward revisit candidates considered.", m.RevisitsTried.Load())
 	counter("hmcd_revisits_taken_total", "Backward revisits taken.", m.RevisitsTaken.Load())
 	counter("hmcd_consistency_checks_total", "Memory-model consistency checks.", m.ConsistencyChecks.Load())
+	counter("hmcd_revisits_chain_skipped_total", "Update-to-update revisits skipped: forward chain steals build them.", m.RevisitsChainSkipped.Load())
+	counter("hmcd_revisits_repair_fail_diverged_total", "Revisits whose taint-pruned replay diverged.", m.RevisitsRepairFailDiverged.Load())
+	counter("hmcd_revisits_repair_fail_inconsistent_total", "Revisits repaired into a graph the model rejects.", m.RevisitsRepairFailInconsistent.Load())
+	counter("hmcd_revisits_repair_fail_doomed_total", "Revisits whose taint pruning would delete the write or the read.", m.RevisitsRepairFailDoomed.Load())
+	counter("hmcd_revisits_repair_fail_oota_total", "Revisits rejected as out-of-thin-air: repair failed and nothing was prunable.", m.RevisitsRepairFailOOTA.Load())
 	counterF("hmcd_phase_interp_seconds_total", "Sampled interpretation time across finished jobs.",
 		time.Duration(m.PhaseInterpNS.Load()).Seconds())
 	counterF("hmcd_phase_consistency_seconds_total", "Sampled consistency-check time across finished jobs.",
@@ -381,4 +393,9 @@ func (m *Metrics) addStats(s *core.Stats) {
 	m.RevisitsTried.Add(int64(s.RevisitsTried))
 	m.RevisitsTaken.Add(int64(s.RevisitsTaken))
 	m.ConsistencyChecks.Add(int64(s.ConsistencyChecks))
+	m.RevisitsChainSkipped.Add(int64(s.RevisitsChainSkipped))
+	m.RevisitsRepairFailDiverged.Add(int64(s.RevisitsRepairFailDiverged))
+	m.RevisitsRepairFailInconsistent.Add(int64(s.RevisitsRepairFailInconsistent))
+	m.RevisitsRepairFailDoomed.Add(int64(s.RevisitsRepairFailDoomed))
+	m.RevisitsRepairFailOOTA.Add(int64(s.RevisitsRepairFailOOTA))
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmc/internal/core"
 	"hmc/internal/litmus"
 )
 
@@ -101,5 +102,32 @@ func TestEvictedVerdictNotServedAfterReload(t *testing.T) {
 	}
 	if v = waitState(t, s2, v.ID); v.State != StateDone || v.Result == nil {
 		t.Fatalf("SB re-exploration failed: %s (%s)", v.State, v.Err)
+	}
+}
+
+// TestMetricsExportRevisitCauses: a finished job's skipped and failed
+// revisits reach /metrics, each under its own cause.
+func TestMetricsExportRevisitCauses(t *testing.T) {
+	var m Metrics
+	m.addStats(&core.Stats{
+		RevisitsChainSkipped:           7,
+		RevisitsRepairFail:             10,
+		RevisitsRepairFailDiverged:     1,
+		RevisitsRepairFailInconsistent: 2,
+		RevisitsRepairFailDoomed:       3,
+		RevisitsRepairFailOOTA:         4,
+	})
+	var buf strings.Builder
+	m.writePrometheus(&buf, 0, 0, 0, 0, true, nil)
+	for _, want := range []string{
+		"hmcd_revisits_chain_skipped_total 7\n",
+		"hmcd_revisits_repair_fail_diverged_total 1\n",
+		"hmcd_revisits_repair_fail_inconsistent_total 2\n",
+		"hmcd_revisits_repair_fail_doomed_total 3\n",
+		"hmcd_revisits_repair_fail_oota_total 4\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 }

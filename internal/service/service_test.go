@@ -134,6 +134,36 @@ func TestCacheKeyIgnoresName(t *testing.T) {
 	}
 }
 
+// TestCacheSeparatesAccessModes: MP and MP+rel+acq differ only in their
+// access modes, and rc11 allows MP's weak outcome but forbids
+// MP+rel+acq's. A cached MP verdict must not be served for MP+rel+acq.
+func TestCacheSeparatesAccessModes(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+
+	mp, _ := litmus.ByName("MP")
+	relAcq, _ := litmus.ByName("MP+rel+acq")
+	first, err := s.Submit(SubmitRequest{Program: mp.P, Model: "rc11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = waitState(t, s, first.ID)
+	if first.State != StateDone || first.Result.ExistsCount == 0 {
+		t.Fatalf("MP under rc11 must be allowed: state %s, result %+v", first.State, first.Result)
+	}
+	second, err := s.Submit(SubmitRequest{Program: relAcq.P, Model: "rc11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CacheHit {
+		t.Fatal("MP+rel+acq was served MP's cached verdict")
+	}
+	second = waitState(t, s, second.ID)
+	if second.State != StateDone || second.Result.ExistsCount != 0 {
+		t.Errorf("MP+rel+acq under rc11 must be forbidden: state %s, result %+v", second.State, second.Result)
+	}
+}
+
 func TestDeadlineInterruptsJob(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())

@@ -634,6 +634,12 @@ func (c *coordinator) maybeProgress(final bool) {
 		snap.StaticPrunedRf += s.StaticPrunedRf
 		snap.StaticPrunedCo += s.StaticPrunedCo
 		snap.StaticPrunedScans += s.StaticPrunedScans
+		snap.RevisitsChainSkipped += s.RevisitsChainSkipped
+		snap.RevisitsRepairFail += s.RevisitsRepairFail
+		snap.RevisitsRepairFailDiverged += s.RevisitsRepairFailDiverged
+		snap.RevisitsRepairFailInconsistent += s.RevisitsRepairFailInconsistent
+		snap.RevisitsRepairFailDoomed += s.RevisitsRepairFailDoomed
+		snap.RevisitsRepairFailOOTA += s.RevisitsRepairFailOOTA
 		snap.Shards = append(snap.Shards, obs.ShardProgress{
 			Shard:       i,
 			Frontier:    frontier,

@@ -232,6 +232,11 @@ func mergeStats(dst *core.Stats, s core.Stats) {
 	dst.States += s.States
 	dst.MemoHits += s.MemoHits
 	dst.RevisitsRepairFail += s.RevisitsRepairFail
+	dst.RevisitsRepairFailDiverged += s.RevisitsRepairFailDiverged
+	dst.RevisitsRepairFailInconsistent += s.RevisitsRepairFailInconsistent
+	dst.RevisitsRepairFailDoomed += s.RevisitsRepairFailDoomed
+	dst.RevisitsRepairFailOOTA += s.RevisitsRepairFailOOTA
+	dst.RevisitsChainSkipped += s.RevisitsChainSkipped
 	dst.RevisitsPorfSkip += s.RevisitsPorfSkip
 	dst.ConsistencyChecks += s.ConsistencyChecks
 	dst.StuckReads += s.StuckReads
