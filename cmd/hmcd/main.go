@@ -16,8 +16,6 @@
 //	     [-crash-dir hmcd-crashes] [-crash-max 32] [-retries 2]
 //	     [-retry-backoff 50ms] [-breaker-threshold 3] [-breaker-cooldown 10m]
 //	     [-progress-every 1s] [-pprof 127.0.0.1:6060]
-//	     [-peers http://host1:8433,http://host2:8433]
-//	     [-peer-probe-every 5s] [-peer-timeout 0] [-peer-hedge-after 0]
 //	     [-chaos-plan plan.json]
 //	     [-portfolio] [-portfolio-timeout 30s] [-portfolio-grace 0]
 //	     [-quarantine-dir hmcd-quarantine] [-quarantine-max 32]
@@ -34,12 +32,12 @@
 //	GET    /v1/jobs/{id}          poll status, result and live progress
 //	GET    /v1/jobs/{id}/progress long-poll progress snapshots (?seq=N&wait=5s)
 //	DELETE /v1/jobs/{id}          cancel
-//	POST   /v1/shards             execute one shard leg for a peer coordinator
 //	GET    /v1/models    GET /v1/tests    GET /healthz    GET /metrics
 //
-// Verdict portfolio: with -portfolio, every unsharded job is raced across
-// all applicable backends (the DFS anchor, the axiomatic enumerator, the
-// operational store-buffer machines; see internal/backend). The anchor's
+// Verdict portfolio: with -portfolio, every job not resuming from a
+// checkpoint is raced across all applicable backends (the DFS anchor, the
+// axiomatic enumerator, the operational store-buffer machines; see
+// internal/backend). The anchor's
 // result is still what the job serves, but the job payload gains a
 // per-backend attestation trail and the winning verdict's outcome digest.
 // If two exhaustive backends disagree, the job fails with the distinct
@@ -48,19 +46,8 @@
 // `hmc -repro`), hmcd_backend_disagreements_total is bumped, and the
 // program's fingerprint trips toward the circuit breaker.
 //
-// Distributed exploration: a submission with "shards": N splits the
-// frontier across N explorers. With -peers, shards beyond the first are
-// round-robined across this daemon and its peers over POST /v1/shards.
-// Peer legs run behind a resilience pool: active /readyz probes
-// (-peer-probe-every), per-peer circuit breakers with half-open probes,
-// bounded jittered retries on transient transport errors, optional
-// hedged local copies for stragglers (-peer-hedge-after), and — as the
-// last rung — demotion to local execution from the leg's untouched input
-// checkpoint. A dark peer costs latency, never a leg and never a
-// counter: merged totals stay byte-identical to a single-process run,
-// even with every peer down. -chaos-plan (dev only) injects a
-// deterministic fault plan into the peer transport and journal to
-// rehearse exactly these failures.
+// -chaos-plan (dev only) injects a deterministic fault plan into the
+// journal file to rehearse write and fsync failures.
 //
 // Observability: running jobs publish progress snapshots every
 // -progress-every (counters, rates, sampled phase breakdown), served in
@@ -82,7 +69,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -122,11 +108,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	checkpointEvery := fs.Int("checkpoint-every", 2000, "executions between journaled exploration checkpoints")
 	progressEvery := fs.Duration("progress-every", time.Second, "cadence of live job progress snapshots (negative disables)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty disables)")
-	peers := fs.String("peers", "", "comma-separated base URLs of peer hmcd daemons that serve shard legs for multi-shard jobs (empty = all shards run locally)")
-	peerProbeEvery := fs.Duration("peer-probe-every", 5*time.Second, "cadence of active /readyz probes against each peer (negative disables)")
-	peerTimeout := fs.Duration("peer-timeout", 0, "per-attempt deadline for one peer shard leg (0 = none; overruns are retried, then run locally)")
-	peerHedgeAfter := fs.Duration("peer-hedge-after", 0, "race a local copy of any peer leg still unfinished after this long (0 disables hedging)")
-	chaosPlan := fs.String("chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to peer HTTP and the journal")
+	chaosPlan := fs.String("chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to the journal")
 	portfolio := fs.Bool("portfolio", false, "race every applicable backend per job and cross-attest verdicts; disagreements are quarantined, never served")
 	portfolioTimeout := fs.Duration("portfolio-timeout", 30*time.Second, "per-run deadline for non-anchor portfolio backends")
 	portfolioGrace := fs.Duration("portfolio-grace", 0, "how long losing backends keep cross-checking after a win (0 = default, negative cancels immediately)")
@@ -134,13 +116,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	quarantineMax := fs.Int("quarantine-max", 32, "max quarantine artifacts kept, oldest evicted (negative disables capture)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var peerURLs []string
-	for _, u := range strings.Split(*peers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			peerURLs = append(peerURLs, u)
-		}
 	}
 
 	var plan *faultinject.Plan
@@ -168,10 +143,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		JournalMaxBytes:      *journalMax,
 		CheckpointEveryExecs: *checkpointEvery,
 		ProgressEvery:        *progressEvery,
-		Peers:                peerURLs,
-		PeerProbeEvery:       *peerProbeEvery,
-		PeerTimeout:          *peerTimeout,
-		PeerHedgeAfter:       *peerHedgeAfter,
 		ChaosPlan:            plan,
 
 		Portfolio:               *portfolio,

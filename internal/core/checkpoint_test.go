@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hmc/internal/gen"
@@ -302,6 +303,42 @@ func isMismatch(err error) bool {
 	return errors.Is(err, ErrCheckpointMismatch)
 }
 
+// legCheckpoints returns the checkpoint JSON with the fields a sharded leg
+// used to carry spliced in: an ownership spec ("shard") and the graphs
+// owned by other shards ("forwarded").
+func legCheckpoints(data []byte) [][]byte {
+	body := bytes.TrimSuffix(bytes.TrimSpace(data), []byte("}"))
+	return [][]byte{
+		append(append([]byte(nil), body...), `,"shard":"4:1"}`...),
+		append(append([]byte(nil), body...), `,"forwarded":[{"bucket":1,"graph":{"threads":1,"locs":1}}]}`...),
+	}
+}
+
+// TestDecodeCheckpointRejectsShardLegFields: sharded exploration is gone,
+// and a leg checkpoint written by an engine that had it names fields this
+// one does not know. The strict decoder refuses it instead of resuming a
+// slice of the state space as if it were the whole run.
+func TestDecodeCheckpointRejectsShardLegFields(t *testing.T) {
+	imm, _ := memmodel.ByName("imm")
+	res, err := Explore(mustCorpus(t, "SB").P, Options{Model: imm, FailAfter: 3})
+	if err != nil || res.Checkpoint == nil {
+		t.Fatalf("no checkpoint from FailAfter run: %v", err)
+	}
+	data, err := res.Checkpoint.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(data); err != nil {
+		t.Fatalf("whole-run checkpoint rejected: %v", err)
+	}
+	for i, leg := range legCheckpoints(data) {
+		_, err := DecodeCheckpoint(leg)
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("leg checkpoint %d: got %v, want an unknown-field error", i, err)
+		}
+	}
+}
+
 // FuzzCheckpointDecode asserts the decoder's contract on untrusted bytes:
 // corrupt, truncated or adversarial snapshots are rejected with an error
 // — never a panic — and anything accepted re-encodes and re-decodes
@@ -322,6 +359,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			if data, err := res.Checkpoint.Encode(); err == nil {
 				f.Add(data)
+				for _, leg := range legCheckpoints(data) {
+					f.Add(leg)
+				}
 				if len(data) > 10 {
 					f.Add(data[:len(data)/2]) // truncated snapshot
 				}

@@ -9,13 +9,17 @@ import (
 	"hmc/internal/prog"
 )
 
+// explore runs p under the named model, or under opts.Model when preset,
+// with the dedup safeguard on.
 func explore(t *testing.T, p *prog.Program, model string, opts Options) *Result {
 	t.Helper()
 	m, err := memmodel.ByName(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Model = m
+	if opts.Model == nil {
+		opts.Model = m
+	}
 	opts.DedupSafeguard = true
 	res, err := Explore(p, opts)
 	if err != nil {

@@ -10,17 +10,17 @@ import (
 	"hmc/internal/prog"
 )
 
-// TestLegacyChecksCountPreserving is the central invariant of the
-// incremental-checking rewrite: Options.LegacyChecks toggles between the
-// pooled/incremental consistency path and the reference materialized-union
-// path, and every observable of the run — each Stats counter, the
-// execution key set, truncation status — must be byte-identical between
-// the two. The knob may only move wall-clock and allocation.
-func TestLegacyChecksCountPreserving(t *testing.T) {
+// TestLegacyModelCountPreserving is the central invariant of the
+// incremental-checking rewrite: memmodel.Legacy(m) is the reference
+// materialized-union predicate under m's name, and every observable of a
+// run under it — each Stats counter, the execution key set, truncation
+// status — must be byte-identical to the run under the pooled/incremental
+// m. The two may differ only in wall-clock and allocation.
+func TestLegacyModelCountPreserving(t *testing.T) {
 	check := func(name string, p *prog.Program, model string) {
 		t.Helper()
 		fast := explore(t, p, model, Options{CollectKeys: true})
-		legacy := explore(t, p, model, Options{CollectKeys: true, LegacyChecks: true})
+		legacy := explore(t, p, model, Options{CollectKeys: true, Model: legacyOf(t, model)})
 		if !reflect.DeepEqual(fast.Stats, legacy.Stats) {
 			t.Errorf("%s under %s: stats diverge\nfast:   %+v\nlegacy: %+v",
 				name, model, fast.Stats, legacy.Stats)
@@ -42,34 +42,34 @@ func TestLegacyChecksCountPreserving(t *testing.T) {
 	check("indexer(2)", gen.IndexerN(2), "tso")
 }
 
-// TestLegacyChecksCheckpointCompatible kills a run and resumes it with the
-// LegacyChecks knob flipped on every leg. The knob is transient — excluded
-// from the checkpoint options signature — so the cross-path chain must be
-// accepted and finish with the same totals as a straight run.
-func TestLegacyChecksCheckpointCompatible(t *testing.T) {
+// TestLegacyModelCheckpointCompatible kills a run and resumes it with the
+// model alternating between tso and memmodel.Legacy(tso) on every leg. The
+// legacy model carries the same Name, which is all a checkpoint records,
+// so the cross-path chain must be accepted and finish with the same totals
+// as a straight run.
+func TestLegacyModelCheckpointCompatible(t *testing.T) {
 	p := gen.SBN(6)
 	m, err := memmodel.ByName("tso")
 	if err != nil {
 		t.Fatal(err)
 	}
+	models := [2]memmodel.Model{m, memmodel.Legacy(m)}
 	straight := explore(t, p, "tso", Options{CollectKeys: true})
 
 	var resume *Checkpoint
-	legacy := false
 	for leg := 0; ; leg++ {
 		if leg > 10000 {
 			t.Fatal("cross-path resume chain did not terminate")
 		}
 		res, err := Explore(p, Options{
-			Model:          m,
+			Model:          models[leg%2],
 			DedupSafeguard: true,
 			CollectKeys:    true,
 			FailAfter:      6,
 			ResumeFrom:     resume,
-			LegacyChecks:   legacy,
 		})
 		if err != nil {
-			t.Fatalf("leg %d (legacy=%v): %v", leg, legacy, err)
+			t.Fatalf("leg %d (%T): %v", leg, models[leg%2], err)
 		}
 		if !res.Interrupted {
 			if leg == 0 {
@@ -82,6 +82,15 @@ func TestLegacyChecksCheckpointCompatible(t *testing.T) {
 			t.Fatal("interrupted result without checkpoint")
 		}
 		resume = encodeDecode(t, res.Checkpoint)
-		legacy = !legacy // alternate the path across process generations
 	}
+}
+
+// legacyOf returns the reference implementation of the named model.
+func legacyOf(t *testing.T, model string) memmodel.Model {
+	t.Helper()
+	m, err := memmodel.ByName(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return memmodel.Legacy(m)
 }

@@ -1,11 +1,10 @@
 // Package faultinject is a deterministic fault-injection harness for the
-// service's two durability-critical boundaries: the HTTP transport that
-// carries shard legs between peer daemons, and the file the write-ahead
+// service's durability-critical boundary: the file the write-ahead
 // journal appends to. A Plan — committed JSON, loadable from a file — is
-// applied as wrappers (an http.RoundTripper and a journal-file shim) that
-// decide per call whether to misbehave.
+// applied as a journal-file shim that decides per call whether to
+// misbehave.
 //
-// Decisions are *schedule-deterministic*: each wrapper numbers its calls
+// Decisions are *schedule-deterministic*: the wrapper numbers its calls
 // with an atomic ordinal, and whether call n suffers a fault is a pure
 // hash of (seed, boundary, fault kind, n). Re-running the same schedule —
 // the same ordinal assignment — replays exactly the same faults, which is
@@ -20,46 +19,20 @@
 package faultinject
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 )
 
-// Plan is a complete fault schedule: one seed plus per-boundary specs.
-// A nil boundary spec leaves that boundary untouched.
+// Plan is a complete fault schedule: one seed plus the journal spec.
+// A nil spec leaves the journal untouched.
 type Plan struct {
 	// Seed drives every percentage decision; two plans with the same
 	// faults but different seeds fault different ordinals.
 	Seed int64 `json:"seed"`
-	// HTTP faults apply to the peer transport (see Transport).
-	HTTP *HTTPFaults `json:"http,omitempty"`
 	// Journal faults apply to journal file writes/fsyncs (see File).
 	Journal *FileFaults `json:"journal,omitempty"`
-}
-
-// HTTPFaults describes transport-boundary misbehavior. Percentages are
-// evaluated per request ordinal; *At lists name exact 1-based ordinals.
-type HTTPFaults struct {
-	// DropPct fails this percentage of requests with a connection error
-	// before any bytes reach the peer.
-	DropPct int `json:"drop_pct,omitempty"`
-	// LatencyPct delays this percentage of requests by LatencyMS before
-	// dispatch (a latency spike, not a drop).
-	LatencyPct int   `json:"latency_pct,omitempty"`
-	LatencyMS  int64 `json:"latency_ms,omitempty"`
-	// Err5xxPct answers this percentage of requests with a synthetic
-	// 503 instead of contacting the peer.
-	Err5xxPct int `json:"err_5xx_pct,omitempty"`
-	// CorruptAt corrupts the response body of these request ordinals
-	// (bytes flipped; length preserved, so framing still parses).
-	CorruptAt []int64 `json:"corrupt_at,omitempty"`
-	// TruncateAt cuts the response body of these ordinals in half.
-	TruncateAt []int64 `json:"truncate_at,omitempty"`
-	// SlowBodyPct dribbles the response body of this percentage of
-	// requests in small chunks with SlowBodyMS pauses between them — a
-	// slow-loris read on the client side.
-	SlowBodyPct int   `json:"slow_body_pct,omitempty"`
-	SlowBodyMS  int64 `json:"slow_body_ms,omitempty"`
 }
 
 // FileFaults describes journal-file misbehavior by operation ordinal.
@@ -77,44 +50,29 @@ type FileFaults struct {
 
 // Validate rejects plans whose numbers cannot mean anything.
 func (p *Plan) Validate() error {
-	check := func(name string, pct int) error {
-		if pct < 0 || pct > 100 {
-			return fmt.Errorf("faultinject: %s = %d%% out of [0, 100]", name, pct)
-		}
-		return nil
-	}
-	if h := p.HTTP; h != nil {
-		for _, c := range []struct {
-			name string
-			pct  int
-		}{
-			{"http.drop_pct", h.DropPct},
-			{"http.latency_pct", h.LatencyPct},
-			{"http.err_5xx_pct", h.Err5xxPct},
-			{"http.slow_body_pct", h.SlowBodyPct},
-		} {
-			if err := check(c.name, c.pct); err != nil {
-				return err
-			}
-		}
-	}
-	if j := p.Journal; j != nil {
-		if err := check("journal.write_err_pct", j.WriteErrPct); err != nil {
-			return err
-		}
+	if j := p.Journal; j != nil && (j.WriteErrPct < 0 || j.WriteErrPct > 100) {
+		return fmt.Errorf("faultinject: journal.write_err_pct = %d%% out of [0, 100]", j.WriteErrPct)
 	}
 	return nil
 }
 
-// LoadPlan reads and validates a JSON fault plan from path.
+// LoadPlan reads and validates a JSON fault plan from path. Unknown
+// fields are rejected: a plan naming a boundary this harness does not
+// wrap (an old "http" section, a misspelt fault) fails loudly instead of
+// quietly injecting nothing.
 func LoadPlan(path string) (*Plan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("faultinject: %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("faultinject: %s: trailing data after the plan", path)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("faultinject: %s: %w", path, err)

@@ -3,14 +3,10 @@ package faultinject
 import (
 	"errors"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // TestDecideDeterministic: the same (seed, boundary, kind, ordinal)
@@ -20,11 +16,11 @@ func TestDecideDeterministic(t *testing.T) {
 	const trials = 10000
 	hits, diverged := 0, false
 	for n := int64(1); n <= trials; n++ {
-		a := decide(1, "http", "drop", n, 30)
-		if a != decide(1, "http", "drop", n, 30) {
+		a := decide(1, "journal", "write-err", n, 30)
+		if a != decide(1, "journal", "write-err", n, 30) {
 			t.Fatalf("decision for ordinal %d not stable", n)
 		}
-		if a != decide(2, "http", "drop", n, 30) {
+		if a != decide(2, "journal", "write-err", n, 30) {
 			diverged = true
 		}
 		if a {
@@ -36,48 +32,48 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 	rate := float64(hits) / trials
 	if rate < 0.25 || rate > 0.35 {
-		t.Errorf("30%% drop rate measured at %.1f%%", rate*100)
+		t.Errorf("30%% write-err rate measured at %.1f%%", rate*100)
 	}
-	if decide(1, "http", "drop", 7, 0) {
+	if decide(1, "journal", "write-err", 7, 0) {
 		t.Error("0%% must never fire")
 	}
-	if !decide(1, "http", "drop", 7, 100) {
+	if !decide(1, "journal", "write-err", 7, 100) {
 		t.Error("100%% must always fire")
 	}
 }
 
 // TestMixSeparatesBoundaries: the fault coordinates are independent —
-// "drop" firing on ordinal n says nothing about "err5xx" on n.
+// "write-err" firing on ordinal n says nothing about "sync-err" on n.
 func TestMixSeparatesBoundaries(t *testing.T) {
 	same := 0
 	for n := int64(1); n <= 1000; n++ {
-		if decide(9, "http", "drop", n, 50) == decide(9, "http", "err5xx", n, 50) {
+		if decide(9, "journal", "write-err", n, 50) == decide(9, "journal", "sync-err", n, 50) {
 			same++
 		}
 	}
 	if same < 400 || same > 600 {
-		t.Errorf("drop and err5xx decisions agree %d/1000 times; want ~500 (independent)", same)
+		t.Errorf("write-err and sync-err decisions agree %d/1000 times; want ~500 (independent)", same)
 	}
 }
 
 func TestPlanValidateAndLoad(t *testing.T) {
-	bad := &Plan{HTTP: &HTTPFaults{DropPct: 150}}
+	bad := &Plan{Journal: &FileFaults{WriteErrPct: 150}}
 	if err := bad.Validate(); err == nil {
-		t.Error("drop_pct=150 must be rejected")
+		t.Error("write_err_pct=150 must be rejected")
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plan.json")
-	if err := os.WriteFile(path, []byte(`{"seed": 7, "http": {"drop_pct": 30}, "journal": {"sync_err_at": [2]}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"seed": 7, "journal": {"write_err_pct": 30, "sync_err_at": [2]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	p, err := LoadPlan(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 7 || p.HTTP.DropPct != 30 || len(p.Journal.SyncErrAt) != 1 {
+	if p.Seed != 7 || p.Journal.WriteErrPct != 30 || len(p.Journal.SyncErrAt) != 1 {
 		t.Errorf("loaded plan %+v lost fields", p)
 	}
-	if err := os.WriteFile(path, []byte(`{"http": {"drop_pct": -1}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"journal": {"write_err_pct": -1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadPlan(path); err == nil {
@@ -85,102 +81,24 @@ func TestPlanValidateAndLoad(t *testing.T) {
 	}
 }
 
-// TestTransportFaults drives each HTTP fault kind through a real server.
-func TestTransportFaults(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("payload-", 16))
-	}))
-	defer srv.Close()
-
-	get := func(rt http.RoundTripper) (*http.Response, error) {
-		c := &http.Client{Transport: rt}
-		return c.Get(srv.URL)
+// TestLoadPlanRejectsUnknownFields: a plan written for a boundary the
+// harness no longer wraps — the peer transport's "http" section — or with
+// a misspelt fault must fail to load, not load as a plan that injects
+// nothing.
+func TestLoadPlanRejectsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	for _, body := range []string{
+		`{"seed": 1337, "http": {"drop_pct": 30}, "journal": {"sync_err_at": [2]}}`,
+		`{"seed": 1, "journal": {"sync_err": [2]}}`,
+		`{"seed": 1} {"seed": 2}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := LoadPlan(path); err == nil {
+			t.Errorf("LoadPlan(%s) = %+v, want an error", body, p)
+		}
 	}
-
-	t.Run("drop", func(t *testing.T) {
-		var kinds []string
-		rt := NewTransport(nil, &Plan{HTTP: &HTTPFaults{DropPct: 100}}, func(k string) { kinds = append(kinds, k) })
-		if _, err := get(rt); !errors.Is(err, ErrInjectedDrop) {
-			t.Fatalf("err = %v, want ErrInjectedDrop", err)
-		}
-		if len(kinds) != 1 || kinds[0] != "drop" {
-			t.Errorf("observer saw %v, want [drop]", kinds)
-		}
-	})
-
-	t.Run("err5xx", func(t *testing.T) {
-		rt := NewTransport(nil, &Plan{HTTP: &HTTPFaults{Err5xxPct: 100}}, nil)
-		resp, err := get(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status = %d, want 503", resp.StatusCode)
-		}
-	})
-
-	t.Run("corrupt", func(t *testing.T) {
-		rt := NewTransport(nil, &Plan{HTTP: &HTTPFaults{CorruptAt: []int64{1}}}, nil)
-		resp, err := get(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		want := strings.Repeat("payload-", 16)
-		if string(body) == want {
-			t.Error("body came back uncorrupted")
-		}
-		if len(body) != len(want) {
-			t.Errorf("corruption changed the length: %d != %d", len(body), len(want))
-		}
-	})
-
-	t.Run("truncate", func(t *testing.T) {
-		rt := NewTransport(nil, &Plan{HTTP: &HTTPFaults{TruncateAt: []int64{1}}}, nil)
-		resp, err := get(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("read err = %v, want ErrUnexpectedEOF", err)
-		}
-		if len(body) >= len(strings.Repeat("payload-", 16)) {
-			t.Error("body not truncated")
-		}
-	})
-
-	t.Run("latency-and-slow-body", func(t *testing.T) {
-		rt := NewTransport(nil, &Plan{HTTP: &HTTPFaults{
-			LatencyPct: 100, LatencyMS: 30, SlowBodyPct: 100, SlowBodyMS: 1,
-		}}, nil)
-		start := time.Now()
-		resp, err := get(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if string(body) != strings.Repeat("payload-", 16) {
-			t.Error("slow body altered the payload")
-		}
-		if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-			t.Errorf("latency injection took only %v", elapsed)
-		}
-	})
-
-	t.Run("untouched-without-faults", func(t *testing.T) {
-		rt := NewTransport(nil, &Plan{}, nil)
-		if _, ok := rt.(*Transport); ok {
-			t.Error("plan without HTTP faults must return the base transport unwrapped")
-		}
-	})
 }
 
 // TestFileFaults drives the journal-file faults against a real file.

@@ -14,6 +14,16 @@ type SyncFile interface {
 	Name() string
 }
 
+// Observer receives one callback per injected fault, keyed by kind
+// ("write-err", "short-write", "sync-err"). Nil observers are fine.
+type Observer func(kind string)
+
+func (o Observer) note(kind string) {
+	if o != nil {
+		o(kind)
+	}
+}
+
 // File injects write/fsync faults in front of a SyncFile. Ordinals are
 // per-wrapper and survive journal rotation only if the same wrapper is
 // reused; the journal wraps each physical file as it opens it, so plans

@@ -15,7 +15,6 @@ import (
 	"hmc/internal/obs"
 	"hmc/internal/operational"
 	"hmc/internal/prog"
-	"hmc/internal/shard"
 )
 
 // Options scales the experiments.
@@ -26,7 +25,7 @@ type Options struct {
 
 // Experiments lists the experiment ids in order.
 func Experiments() []string {
-	return []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11", "T12", "T13", "T14", "T15", "T16", "T17"}
+	return []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11", "T12", "T13", "T14", "T15", "T17"}
 }
 
 // Run executes one experiment by id. Any failure — an unknown model, an
@@ -65,8 +64,6 @@ func Run(id string, opts Options) (*Table, error) {
 		return T14CheckpointResume(opts)
 	case "T15":
 		return T15ProgressOverhead(opts)
-	case "T16":
-		return T16ShardedExploration(opts)
 	case "T17":
 		return T17ConsistencyPath(opts)
 	}
@@ -80,13 +77,16 @@ func explore(id string, p *prog.Program, model string) (*core.Result, time.Durat
 	return exploreOpts(id, p, model, core.Options{})
 }
 
-// exploreOpts is explore with extra exploration options.
+// exploreOpts is explore with extra exploration options. A preset
+// opts.Model (T17 passes memmodel.Legacy of the named model) is kept.
 func exploreOpts(id string, p *prog.Program, model string, opts core.Options) (*core.Result, time.Duration, error) {
 	m, err := memmodel.ByName(model)
 	if err != nil {
 		return nil, 0, fmt.Errorf("harness %s: %w", id, err)
 	}
-	opts.Model = m
+	if opts.Model == nil {
+		opts.Model = m
+	}
 	start := time.Now()
 	res, err := core.Explore(p, opts)
 	if err != nil {
@@ -1012,152 +1012,11 @@ func T15ProgressOverhead(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// T16ShardedExploration measures distributed sharded exploration
-// (internal/shard): wall time by shard count, with every sharded run's
-// merged totals asserted identical to the single-explorer run — the
-// bucket-ownership protocol's exactness claim, priced. A forced-steal
-// run (1ms patience) additionally proves counter exactness survives
-// work re-balancing.
-func T16ShardedExploration(opts Options) (*Table, error) {
-	counts := []int{1, 2, 4}
-	t := &Table{
-		ID:      "T16",
-		Title:   "sharded exploration: wall time by shard count (merged totals asserted identical; steals counted)",
-		Columns: []string{"program", "model", "execs", "t(1)", "t(2)", "t(4)", "speedup(4)", "steals(4)"},
-	}
-	type job struct {
-		p     *prog.Program
-		model string
-	}
-	// SB(6..8) are the protocol-exactness rows (the execution set doubles
-	// per thread, so they stay milliseconds); SB(11..12) are big enough
-	// that the wall clock, not the coordination, dominates — the rows the
-	// multicore speedup assertion bites on.
-	jobs := []job{
-		{gen.SBN(6), "tso"},
-		{gen.SBN(7), "tso"},
-		{gen.SBN(8), "tso"},
-		{gen.SBN(11), "tso"},
-		{gen.SBN(12), "tso"},
-	}
-	if opts.Quick {
-		counts = []int{1, 2}
-		t.Columns = []string{"program", "model", "execs", "t(1)", "t(2)", "speedup(2)", "steals(2)"}
-		jobs = []job{{gen.SBN(5), "tso"}, {gen.SBN(6), "tso"}}
-	}
-	// shardRun explores p split across n shards and reports the steal count.
-	shardRun := func(j job, n int) (*core.Result, time.Duration, int, error) {
-		m, err := memmodel.ByName(j.model)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("harness T16: %w", err)
-		}
-		steals := 0
-		start := time.Now()
-		res, err := shard.Explore(j.p, shard.Options{
-			Shards:  n,
-			Core:    core.Options{Model: m},
-			OnSteal: func() { steals++ },
-		})
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("harness T16: exploring %q under %s with %d shards: %w", j.p.Name, j.model, n, err)
-		}
-		return res, time.Since(start), steals, nil
-	}
-	same := func(a, b *core.Result) bool {
-		return a.Executions == b.Executions && a.Blocked == b.Blocked &&
-			a.ExistsCount == b.ExistsCount && a.States == b.States &&
-			a.MemoHits == b.MemoHits && a.MaxGraphEvents == b.MaxGraphEvents
-	}
-	// The widest split forwards most cross-shard transitions, so its
-	// overhead needs at least as many cores as shards to amortize; the
-	// speedup bar only applies where that is possible.
-	multicore := runtime.NumCPU() >= counts[len(counts)-1]
-	for _, j := range jobs {
-		straight, base, err := explore("T16", j.p, j.model)
-		if err != nil {
-			return nil, err
-		}
-		row := []any{j.p.Name, j.model, straight.Executions, ms(base)}
-		var last time.Duration
-		var lastSteals int
-		for _, n := range counts[1:] {
-			res, d, steals, err := shardRun(j, n)
-			if err != nil {
-				return nil, err
-			}
-			if !same(straight, res) {
-				return nil, fmt.Errorf("harness T16: %s/%s: %d shards diverged: execs %d/%d blocked %d/%d states %d/%d memo %d/%d",
-					j.p.Name, j.model, n, res.Executions, straight.Executions, res.Blocked, straight.Blocked,
-					res.States, straight.States, res.MemoHits, straight.MemoHits)
-			}
-			last, lastSteals = d, steals
-			row = append(row, ms(d))
-		}
-		// The acceptance bar: on a multicore host, the widest split of a
-		// row big enough to time reliably must beat the single explorer.
-		// Coordination noise can lose a single race, so a miss re-measures
-		// in back-to-back pairs and judges the best pair, like T15.
-		nMax := counts[len(counts)-1]
-		ratio := float64(base) / float64(last)
-		for attempt := 0; multicore && base >= 300*time.Millisecond && ratio <= 1.0 && attempt < 4; attempt++ {
-			_, d0, err := explore("T16", j.p, j.model)
-			if err != nil {
-				return nil, err
-			}
-			_, dn, steals, err := shardRun(j, nMax)
-			if err != nil {
-				return nil, err
-			}
-			if r := float64(d0) / float64(dn); r > ratio {
-				ratio = r
-				base, last, lastSteals = d0, dn, steals
-			}
-		}
-		if multicore && base >= 300*time.Millisecond && ratio <= 1.0 {
-			return nil, fmt.Errorf("harness T16: %s/%s: %d shards on %d CPUs showed no speedup: %v vs %v",
-				j.p.Name, j.model, nMax, runtime.NumCPU(), base, last)
-		}
-		row = append(row, fmt.Sprintf("%.2fx", ratio), lastSteals)
-		t.AddRow(row...)
-	}
-	// Forced steals: near-zero patience makes every early-draining shard
-	// steal, so the run exercises bucket re-assignment heavily — and the
-	// totals must still be exactly the straight run's.
-	fj := jobs[0]
-	m, err := memmodel.ByName(fj.model)
-	if err != nil {
-		return nil, fmt.Errorf("harness T16: %w", err)
-	}
-	forcedSteals := 0
-	forced, err := shard.Explore(fj.p, shard.Options{
-		Shards:     counts[len(counts)-1],
-		Core:       core.Options{Model: m},
-		StealAfter: time.Millisecond,
-		OnSteal:    func() { forcedSteals++ },
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness T16: forced-steal run: %w", err)
-	}
-	fstraight, _, err := explore("T16", fj.p, fj.model)
-	if err != nil {
-		return nil, err
-	}
-	if !same(fstraight, forced) {
-		return nil, fmt.Errorf("harness T16: %s/%s: forced steals diverged: execs %d/%d states %d/%d",
-			fj.p.Name, fj.model, forced.Executions, fstraight.Executions, forced.States, fstraight.States)
-	}
-	t.Notes = append(t.Notes,
-		"each shard owns a slice of the canonical-state space; unowned graphs are forwarded to their owner, so merged counters are order-invariant and asserted identical to the single explorer on every row",
-		fmt.Sprintf("forced-steal run (%s, %d shards, 1ms patience): %d steals, totals asserted identical", fj.p.Name, counts[len(counts)-1], forcedSteals),
-		fmt.Sprintf("host: GOMAXPROCS=%d — the speedup assertion applies only on hosts with at least as many CPUs as shards, on rows from 300ms up; on fewer cores the table prices coordination overhead instead (expect below 1x: forwarding serializes every cross-shard graph)", runtime.GOMAXPROCS(0)))
-	return t, nil
-}
-
 // T17ConsistencyPath prices the incremental consistency-checking rewrite:
-// the same explorations run through the reference materialized-union path
-// (Options.LegacyChecks) and the pooled/incremental path, with every Stats
-// counter asserted byte-identical between the two — the knob may move only
-// wall-clock and allocation — and the speedup reported per row. SB(n)
+// the same explorations run under the reference materialized-union model
+// (memmodel.Legacy) and the pooled/incremental one, with every Stats
+// counter asserted byte-identical between the two — the paths may differ
+// only in wall-clock and allocation — and the speedup reported per row. SB(n)
 // doubles its execution set per store, so the series shows the per-check
 // saving compounding as graphs grow.
 func T17ConsistencyPath(opts Options) (*Table, error) {
@@ -1174,7 +1033,11 @@ func T17ConsistencyPath(opts Options) (*Table, error) {
 	for n := lo; n <= hi; n++ {
 		p := gen.SBN(n)
 		for _, model := range models {
-			legacy, dl, err := exploreOpts("T17", p, model, core.Options{LegacyChecks: true})
+			m, err := memmodel.ByName(model)
+			if err != nil {
+				return nil, fmt.Errorf("harness T17: %w", err)
+			}
+			legacy, dl, err := exploreOpts("T17", p, model, core.Options{Model: memmodel.Legacy(m)})
 			if err != nil {
 				return nil, err
 			}

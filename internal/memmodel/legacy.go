@@ -10,12 +10,12 @@ import (
 // from-scratch Acyclic(). The production predicates in hardware_sb.go now
 // stream the same edges into an incrementally maintained DeltaRel; the
 // copies here are the oracle the property tests pin that rewrite against,
-// and the A/B baseline the harness (T17) and the explorer's LegacyChecks
-// option run.
+// and the A/B baseline of the harness (T17): a caller passes Legacy(m) as
+// core.Options.Model to run an exploration through them.
 
 // legacyModel wraps a reference predicate under the original model name,
-// so the explorer's counters and memo keys are indistinguishable between
-// paths.
+// so the explorer's counters, memo keys and checkpoints are
+// indistinguishable between paths.
 type legacyModel struct {
 	name string
 	fn   func(*eg.View) bool

@@ -293,6 +293,26 @@ func TestHTTPSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitRejectsShards: sharded exploration is gone, and a client
+// still asking for it gets a 400 naming the field rather than a plain job
+// it did not ask for.
+func TestHTTPSubmitRejectsShards(t *testing.T) {
+	_, ts := startServer(t, service.Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"test": "SB", "model": "tso", "shards": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), `shards`) {
+		t.Errorf("error body does not name the rejected field: %s", raw)
+	}
+}
+
 func TestHTTPModelsAndTests(t *testing.T) {
 	_, ts := startServer(t, service.Config{Workers: 1})
 	code, models := getBody(t, ts, "/v1/models")

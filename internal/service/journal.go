@@ -58,7 +58,6 @@ type jrec struct {
 	MemoryBudget  int64  `json:"memory_budget,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	Symmetry      bool   `json:"symmetry,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
 
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
@@ -292,7 +291,6 @@ func (j *journal) submit(id string, req SubmitRequest) {
 		MemoryBudget:  req.MemoryBudget,
 		Workers:       req.Workers,
 		Symmetry:      req.Symmetry,
-		Shards:        req.Shards,
 		TimeoutMS:     req.Timeout.Milliseconds(),
 	})
 }

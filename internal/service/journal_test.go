@@ -256,6 +256,49 @@ func TestServiceResumesAfterKill(t *testing.T) {
 	}
 }
 
+// TestJournalReplaysShardedSubmitAsPlainJob: a submit record journaled
+// by an engine that still had sharded exploration carries "shards":2.
+// Replay ignores the field and runs the job as a plain exploration, with
+// the verdict a straight run gives.
+func TestJournalReplaysShardedSubmitAsPlainJob(t *testing.T) {
+	dir := t.TempDir()
+	line := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000007","test":"SB","model":"tso","shards":2}`+"\n", core.SchemaVersion)
+	if err := os.WriteFile(filepath.Join(dir, "journal-000000001.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, JournalDir: dir})
+	defer s.Shutdown(context.Background())
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("service never became ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Metrics().JournalReplayedJobs.Load(); got != 1 {
+		t.Fatalf("JournalReplayedJobs = %d, want 1", got)
+	}
+	v := waitState(t, s, "job-000007")
+	if v.State != StateDone || v.Result == nil {
+		t.Fatalf("replayed job: state=%s err=%q", v.State, v.Err)
+	}
+	tso, err := memmodel.ByName("tso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, err := core.Explore(mustTest(t, "SB"), core.Options{Model: tso})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.Result
+	if r.Executions != straight.Executions || r.ExistsCount != straight.ExistsCount ||
+		r.Blocked != straight.Blocked || !r.Exhaustive() {
+		t.Fatalf("replayed verdict diverges: execs=%d exists=%d blocked=%d exhaustive=%v, straight execs=%d exists=%d blocked=%d",
+			r.Executions, r.ExistsCount, r.Blocked, r.Exhaustive(),
+			straight.Executions, straight.ExistsCount, straight.Blocked)
+	}
+}
+
 // TestVerdictCachePersists: a verdict computed before a graceful restart
 // answers the same submission from cache afterwards.
 func TestVerdictCachePersists(t *testing.T) {

@@ -118,7 +118,7 @@ func TestMetricsExportRevisitCauses(t *testing.T) {
 		RevisitsRepairFailOOTA:         4,
 	})
 	var buf strings.Builder
-	m.writePrometheus(&buf, 0, 0, 0, 0, true, nil)
+	m.writePrometheus(&buf, 0, 0, 0, 0, true)
 	for _, want := range []string{
 		"hmcd_revisits_chain_skipped_total 7\n",
 		"hmcd_revisits_repair_fail_diverged_total 1\n",

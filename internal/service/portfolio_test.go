@@ -177,28 +177,6 @@ func TestPortfolioAgreementServesAnchorResult(t *testing.T) {
 	}
 }
 
-// TestPortfolioShardedJobsUseLegacyPath: sharded jobs bypass the portfolio
-// (merged shard legs are the anchor's own cross-check).
-func TestPortfolioShardedJobsUseLegacyPath(t *testing.T) {
-	s := mustNew(t, Config{Workers: 1, Portfolio: true, QuarantineDir: t.TempDir()})
-	defer s.Shutdown(context.Background())
-	// Even with a lying alternate, a sharded job must not consult it.
-	s.alternates = []backend.Backend{&wrongBackend{name: "liar"}}
-
-	sb, _ := litmus.ByName("SB")
-	v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso", Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitState(t, s, v.ID)
-	if v.State != StateDone {
-		t.Fatalf("state %s, want done (err %q)", v.State, v.Err)
-	}
-	if len(v.Attestation) != 0 || v.Winner != nil {
-		t.Errorf("sharded job must not carry portfolio attestation: %+v", v)
-	}
-}
-
 // TestQuarantineMetricsRendered: the new counters and the per-backend
 // latency histogram family appear on the Prometheus surface.
 func TestQuarantineMetricsRendered(t *testing.T) {
@@ -213,7 +191,7 @@ func TestQuarantineMetricsRendered(t *testing.T) {
 	waitState(t, s, v.ID)
 
 	var b strings.Builder
-	s.Metrics().writePrometheus(&b, 0, 0, 0, 0, true, nil)
+	s.Metrics().writePrometheus(&b, 0, 0, 0, 0, true)
 	text := b.String()
 	for _, want := range []string{
 		"hmcd_backend_runs_total",

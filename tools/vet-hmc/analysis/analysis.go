@@ -10,8 +10,8 @@
 //
 // The analyzers encode *project* invariants, not general Go hygiene:
 // determinism of counter-affecting packages, checkpoint options-signature
-// coverage, metrics registration discipline, the peer error taxonomy, and
-// lock-vs-blocking-call ordering. Each is documented in its own package
+// coverage, metrics registration discipline, lock-vs-blocking-call
+// ordering, and the engine's panic→error boundary. Each is documented in its own package
 // and in DESIGN.md row 21.
 package analysis
 

@@ -1,8 +1,7 @@
 // Package lockhold flags mutexes held across blocking calls in
-// internal/service and internal/shard. Both packages sit on the daemon's
-// hot control paths: a lock held across a channel operation, an HTTP
-// round-trip or an fsync turns one slow peer or one slow disk into a
-// stalled job queue (every other goroutine piles up on the mutex), and
+// internal/service. The package sits on the daemon's hot control paths:
+// a lock held across a channel operation, an HTTP round-trip or an fsync
+// turns one slow backend or one slow disk into a stalled job queue (every other goroutine piles up on the mutex), and
 // under the journal's degraded mode it can deadlock the very path meant
 // to keep the daemon live. The service's own style already follows the
 // rule — snapshot under the lock, do I/O outside — and this analyzer
@@ -38,8 +37,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
 	Doc: "no sync.Mutex/RWMutex held across a blocking call (channel op, " +
 		"select without default, HTTP round-trip, fsync, sleep, WaitGroup.Wait) " +
-		"in internal/{service,shard}; sanctioned sites carry //hmc:lockhold(reason)",
-	Match: analysis.HasSuffix("internal/service", "internal/shard"),
+		"in internal/service; sanctioned sites carry //hmc:lockhold(reason)",
+	Match: analysis.HasSuffix("internal/service"),
 	Run:   run,
 }
 

@@ -21,8 +21,10 @@
 //     somewhere in the package — no write-only and no export-only
 //     metrics.
 //
-// Names emitted through raw Fprintf (the per-peer labeled gauges) are
-// outside the helper discipline and outside this analyzer's scope.
+// Names emitted through raw Fprintf are outside the helper discipline and
+// outside this analyzer's scope. The only such family is the labeled
+// hmcd_backend_latency_seconds histogram (writeBackendLatencies), whose
+// HELP/TYPE header is written by hand.
 package metricsreg
 
 import (

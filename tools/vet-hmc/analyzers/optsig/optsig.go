@@ -5,8 +5,8 @@
 // field into the Checkpoint.Opts string. The drift class this catches is
 // "a new Options field changes what is explored but the signature was
 // not extended" — the checkpoint then resumes happily and the merged
-// counters silently diverge, defeating the exactly-once guarantees of
-// PR 4 and PR 6.
+// counters silently diverge, defeating the exactly-once resume
+// guarantee.
 //
 // The rule: every field of core.Options must be accounted for in exactly
 // one of three ways —
@@ -16,8 +16,8 @@
 //     legitimately differ between the checkpointing and resuming runs
 //     (Workers, MemoryBudget, callbacks, observation knobs);
 //   - marked //hmc:identity(Field) in its doc comment: the field is
-//     checked through a dedicated Checkpoint field instead (Model,
-//     Shard), which this analyzer verifies exists.
+//     checked through a dedicated Checkpoint field instead (Model),
+//     which this analyzer verifies exists.
 //
 // A field with none of the three is a compile-time ErrCheckpointMismatch
 // bug waiting to happen and is reported.

@@ -1,19 +1,17 @@
 // Command vet-hmc is the repo's project-invariant analyzer suite — a
-// stdlib-only multichecker bundling the six analyzers that encode the
-// coding invariants the distributed substrate depends on:
+// stdlib-only multichecker bundling the five analyzers that encode the
+// coding invariants the explorer and the daemon depend on:
 //
 //	determinism      no wall clock, global rand or unsorted map iteration
-//	                 in counter-affecting packages (byte-identical shard
-//	                 merges and exactly-once resume assume it)
+//	                 in counter-affecting packages (exactly-once resume
+//	                 and the equivalence tests assume it)
 //	optsig           every core.Options field covered by the checkpoint
 //	                 options signature or explicitly excluded
 //	metricsreg       hmcd metrics: literal hmcd_* names, _total on
 //	                 counters only, exactly-once registration, no
 //	                 write-only or export-only series
-//	errtaxonomy      peer RunLeg transport errors classified transient
-//	                 before they reach the retry/demotion ladder
 //	lockhold         no mutex held across a blocking call in the service
-//	                 and shard layers
+//	                 layer
 //	recoverboundary  exported core entry points route through the
 //	                 panic→error boundary (moved from tools/analyzers)
 //
@@ -21,7 +19,7 @@
 //
 //	go run ./tools/vet-hmc ./...          # CI invocation: whole module
 //	go run ./tools/vet-hmc -list          # describe the analyzers
-//	go run ./tools/vet-hmc -run determinism,lockhold ./internal/shard
+//	go run ./tools/vet-hmc -run determinism,lockhold ./internal/...
 //
 // The driver loads only the packages some analyzer matches, type-checks
 // them from `go list -export` data, and prints findings as
@@ -38,7 +36,6 @@ import (
 
 	"hmc/tools/vet-hmc/analysis"
 	"hmc/tools/vet-hmc/analyzers/determinism"
-	"hmc/tools/vet-hmc/analyzers/errtaxonomy"
 	"hmc/tools/vet-hmc/analyzers/lockhold"
 	"hmc/tools/vet-hmc/analyzers/metricsreg"
 	"hmc/tools/vet-hmc/analyzers/optsig"
@@ -47,7 +44,6 @@ import (
 
 var suite = []*analysis.Analyzer{
 	determinism.Analyzer,
-	errtaxonomy.Analyzer,
 	lockhold.Analyzer,
 	metricsreg.Analyzer,
 	optsig.Analyzer,
