@@ -111,9 +111,6 @@ func NewPortfolio(opts PortfolioOptions) *Portfolio {
 	return &Portfolio{opts: opts}
 }
 
-// Backends returns the configured backend list, anchor first.
-func (pf *Portfolio) Backends() []Backend { return pf.opts.Backends }
-
 // slot is one racing backend's in-flight state. Fields other than the
 // channels are written by the slot goroutine before it sends itself on
 // the results channel, which is the happens-before edge the collector

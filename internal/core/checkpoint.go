@@ -43,8 +43,9 @@ import (
 const SchemaVersion = 1
 
 // CheckpointVersion is the checkpoint wire-format version (the JSON field
-// layout), bumped independently of SchemaVersion.
-const CheckpointVersion = 1
+// layout), bumped independently of SchemaVersion. Version 2 dropped the
+// complete-execution dedup set ("seen") and Stats.Duplicates.
+const CheckpointVersion = 2
 
 // ErrCheckpointMismatch reports that a checkpoint cannot resume the given
 // run: wrong engine schema, wrong program fingerprint, wrong model, or
@@ -74,8 +75,8 @@ type WireError struct {
 }
 
 // Checkpoint is a resumable snapshot of an exploration. It is fully
-// deterministic for a given explorer state: memo and seen sets are
-// sorted, pending graphs are encoded canonically (stamp renumbering) and
+// deterministic for a given explorer state: the memo set is sorted,
+// pending graphs are encoded canonically (stamp renumbering) and
 // sorted by their encoding — so encode→decode→encode is byte-identical.
 type Checkpoint struct {
 	Version     int    `json:"version"`
@@ -95,11 +96,9 @@ type Checkpoint struct {
 	Truncated           bool        `json:"truncated,omitempty"`
 	TruncatedReason     string      `json:"truncated_reason,omitempty"`
 	Errors              []WireError `json:"errors,omitempty"`
-	// Memo is the sorted set of fully-enumerated state keys; Seen is the
-	// sorted complete-execution dedup set (present only under
-	// DedupSafeguard). Pending is the unexplored frontier.
+	// Memo is the sorted set of fully-enumerated state keys; Pending is
+	// the unexplored frontier.
 	Memo    []string          `json:"memo,omitempty"`
-	Seen    []string          `json:"seen,omitempty"`
 	Pending []json.RawMessage `json:"pending,omitempty"`
 }
 
@@ -112,9 +111,22 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 // panic-free on corrupt or truncated input (the FuzzCheckpointDecode
 // contract): unknown fields, trailing garbage, version or schema drift,
 // and structurally invalid graphs are all rejected with an error. The
+// version is read first, so a checkpoint in another wire layout is an
+// ErrCheckpointMismatch rather than an unknown-field error. The
 // program/model/options match is checked later, at resume time, when the
 // run they must match is known.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	var hdr struct {
+		Version int `json:"version"`
+		Schema  int `json:"schema"`
+	}
+	// The lenient header decode fails only where the strict one below
+	// fails too, so every accepted checkpoint passed checkVersion.
+	if json.NewDecoder(bytes.NewReader(data)).Decode(&hdr) == nil {
+		if err := checkVersion(hdr.Version, hdr.Schema); err != nil {
+			return nil, err
+		}
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	cp := &Checkpoint{}
@@ -123,12 +135,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	if dec.More() {
 		return nil, errors.New("core: bad checkpoint: trailing data")
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
-	}
-	if cp.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
 	}
 	// Witness graphs travel only in wire form; a hand-crafted Stats.Errors
 	// list would smuggle in unvalidated live graphs.
@@ -142,6 +148,18 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	return cp, nil
+}
+
+// checkVersion rejects a checkpoint from another wire layout or engine
+// schema.
+func checkVersion(version, schema int) error {
+	if version != CheckpointVersion {
+		return fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, version, CheckpointVersion)
+	}
+	if schema != SchemaVersion {
+		return fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, schema, SchemaVersion)
+	}
+	return nil
 }
 
 // EncodeErrorReports converts assertion-failure reports to wire form.
@@ -190,11 +208,6 @@ func decodeWireGraph(raw json.RawMessage) (*eg.Graph, error) {
 	return wg.Decode()
 }
 
-func encodeWireGraph(g *eg.Graph) (json.RawMessage, error) {
-	data, err := json.Marshal(eg.EncodeGraph(g))
-	return json.RawMessage(data), err
-}
-
 // optsSignature renders the Options fields that determine what the saved
 // state *means* — bounds, ablations, reductions, key collection. Workers
 // and MemoryBudget are deliberately absent: parallelism only reorders the
@@ -202,8 +215,8 @@ func encodeWireGraph(g *eg.Graph) (json.RawMessage, error) {
 // moment, not of the exploration (a run truncated by it resumes under
 // whatever budget the new process has).
 func optsSignature(o Options) string {
-	return fmt.Sprintf("steps=%d|max=%d|maxev=%d|stoperr=%v|dedup=%v|porf=%v|keys=%v|static=%v|deps=%v|symm=%v",
-		o.MaxSteps, o.MaxExecutions, o.MaxEvents, o.StopOnError, o.DedupSafeguard,
+	return fmt.Sprintf("steps=%d|max=%d|maxev=%d|stoperr=%v|porf=%v|keys=%v|static=%v|deps=%v|symm=%v",
+		o.MaxSteps, o.MaxExecutions, o.MaxEvents, o.StopOnError,
 		o.PorfOnlyRevisits, o.CollectKeys, o.StaticAnalysis, o.CheckDeps, o.Symmetry)
 }
 
@@ -229,9 +242,6 @@ func (e *explorer) capture(frontier []*eg.Graph) *Checkpoint {
 	}
 	cp.Stats.Errors = nil
 	cp.Memo = sortedSetKeys(e.sh.memo)
-	if e.sh.seen != nil {
-		cp.Seen = sortedSetKeys(e.sh.seen)
-	}
 	for _, g := range frontier {
 		data, _ := json.Marshal(eg.EncodeGraph(g))
 		cp.Pending = append(cp.Pending, json.RawMessage(data))
@@ -250,11 +260,8 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 	if cp == nil {
 		return nil, errors.New("core: Options.ResumeFrom is nil")
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
-	}
-	if cp.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
+	if err := checkVersion(cp.Version, cp.Schema); err != nil {
+		return nil, err
 	}
 	if fp := e.p.Fingerprint(); cp.Fingerprint != fp {
 		return nil, fmt.Errorf("%w: checkpoint fingerprint %.12s, program is %.12s", ErrCheckpointMismatch, cp.Fingerprint, fp)
@@ -304,12 +311,6 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 	sh.memo = make(map[string]bool, len(cp.Memo))
 	for _, k := range cp.Memo {
 		sh.memo[k] = true
-	}
-	if e.opts.DedupSafeguard {
-		sh.seen = make(map[string]bool, len(cp.Seen))
-		for _, k := range cp.Seen {
-			sh.seen[k] = true
-		}
 	}
 	return frontier, nil
 }

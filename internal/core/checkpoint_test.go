@@ -67,7 +67,6 @@ func runChained(t *testing.T, p *prog.Program, model string, base Options, k int
 		}
 		opts := base
 		opts.Model = m
-		opts.DedupSafeguard = true
 		opts.CollectKeys = true
 		opts.FailAfter = k
 		opts.ResumeFrom = resume
@@ -76,6 +75,7 @@ func runChained(t *testing.T, p *prog.Program, model string, base Options, k int
 			t.Fatalf("leg %d (k=%d): %v", leg, k, err)
 		}
 		if !res.Interrupted {
+			assertDistinctKeys(t, fmt.Sprintf("resume chain (k=%d)", k), res)
 			return res, kills
 		}
 		if res.Checkpoint == nil {
@@ -89,7 +89,7 @@ func runChained(t *testing.T, p *prog.Program, model string, base Options, k int
 // assertSameExploration compares a resumed run against the straight run.
 //
 // The semantic invariants always hold: identical execution-key sets,
-// Executions, ExistsCount, Blocked, Duplicates, StuckReads, errors and
+// Executions, ExistsCount, Blocked, StuckReads, errors and
 // truncation status — the checkpoint cut must neither lose nor repeat
 // verdict-relevant work. These are exactly the invariants the engine
 // guarantees for parallel-vs-sequential runs (parallel_test.go).
@@ -117,7 +117,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 		}
 	}
 	type counts struct {
-		Executions, ExistsCount, Blocked, Duplicates, States, MemoHits int
+		Executions, ExistsCount, Blocked, States, MemoHits             int
 		RevisitsTried, RevisitsTaken, RevisitsRepairFail, RevisitsPorf int
 		ConsistencyChecks, StuckReads, MaxGraphEvents, Errs, DepViol   int
 		StaticPrunedRf, StaticPrunedCo, StaticPrunedScans              int
@@ -126,7 +126,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 	}
 	of := func(r *Result) counts {
 		c := counts{
-			r.Executions, r.ExistsCount, r.Blocked, r.Duplicates, r.States, r.MemoHits,
+			r.Executions, r.ExistsCount, r.Blocked, r.States, r.MemoHits,
 			r.RevisitsTried, r.RevisitsTaken, r.RevisitsRepairFail, r.RevisitsPorfSkip,
 			r.ConsistencyChecks, r.StuckReads, r.MaxGraphEvents, len(r.Errors), r.DepViolations,
 			r.StaticPrunedRf, r.StaticPrunedCo, r.StaticPrunedScans,
@@ -299,6 +299,33 @@ func TestResumeMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointV1Rejected: version 1 carried the complete-execution
+// dedup set ("seen") and Stats.Duplicates. Such a checkpoint is a version
+// mismatch, both on decode and on resume, not a corrupt file.
+func TestCheckpointV1Rejected(t *testing.T) {
+	imm, _ := memmodel.ByName("imm")
+	sb := mustCorpus(t, "SB").P
+	res, err := Explore(sb, Options{Model: imm, FailAfter: 3})
+	if err != nil || res.Checkpoint == nil {
+		t.Fatalf("no checkpoint from FailAfter run: %v", err)
+	}
+	data, err := res.Checkpoint.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, CheckpointVersion), `"version":1`, 1)
+	v1 = strings.Replace(v1, `"stats":{`, `"stats":{"Duplicates":0,`, 1)
+	v1 = strings.TrimSuffix(v1, "}") + `,"seen":["k"]}`
+	if _, err := DecodeCheckpoint([]byte(v1)); !isMismatch(err) {
+		t.Errorf("decode v1: got %v, want ErrCheckpointMismatch", err)
+	}
+	old := *res.Checkpoint
+	old.Version = 1
+	if _, err := Explore(sb, Options{Model: imm, ResumeFrom: &old}); !isMismatch(err) {
+		t.Errorf("resume v1: got %v, want ErrCheckpointMismatch", err)
+	}
+}
+
 func isMismatch(err error) bool {
 	return errors.Is(err, ErrCheckpointMismatch)
 }
@@ -353,7 +380,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			continue
 		}
 		for _, k := range []int{2, 6} {
-			res, err := Explore(tc.P, Options{Model: imm, DedupSafeguard: true, CollectKeys: true, FailAfter: k})
+			res, err := Explore(tc.P, Options{Model: imm, CollectKeys: true, FailAfter: k})
 			if err != nil || res.Checkpoint == nil {
 				continue
 			}
@@ -368,8 +395,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte(`{"version":1,"schema":1}`))
-	f.Add([]byte(`{"version":1,"schema":1,"pending":[{"threads":1,"locs":1,"events":[{"t":0,"i":0,"k":2}]}]}`))
+	f.Add([]byte(`{"version":2,"schema":1}`))
+	f.Add([]byte(`{"version":2,"schema":1,"pending":[{"threads":1,"locs":1,"events":[{"t":0,"i":0,"k":2}]}]}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint(data)

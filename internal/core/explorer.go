@@ -19,9 +19,10 @@
 // The dependency prefix is where hardware models differ from RC11-style
 // models: events po-after the revisited read that do not syntactically
 // depend on it are *kept*, which is what makes load-buffering executions
-// (rf into the po-past) reachable. Optimality — each consistent execution
-// explored exactly once — comes from the TruSt-style maximality condition
-// on deleted events, validated by the duplicate-free property tests.
+// (rf into the po-past) reachable. Each consistent execution is recorded
+// once because of the state memo in visit: there is no maximality
+// condition on deleted events, so revisit paths can rebuild a state, and
+// the memo drops each rebuild (Stats.MemoHits).
 package core
 
 import (
@@ -81,11 +82,6 @@ type Options struct {
 	MemoryBudget int64
 	// StopOnError aborts exploration at the first assertion failure.
 	StopOnError bool
-	// DedupSafeguard tracks complete-execution keys and suppresses
-	// duplicates, counting them in Stats.Duplicates. The algorithm is
-	// optimal, so this is a diagnostic: the test suite asserts the count
-	// stays zero. It costs memory proportional to the execution count.
-	DedupSafeguard bool
 	// PorfOnlyRevisits is the T5 ablation: restrict backward revisits to
 	// porf-prefix-closed deletions as RC11-tuned explorers do (every event
 	// po-after the revisited read is deleted; revisits that would need a
@@ -104,11 +100,6 @@ type Options struct {
 	// CollectKeys records each complete execution's canonical key in
 	// Result.Keys (tests and cross-validation).
 	CollectKeys bool
-	// OnDuplicate, when non-nil (and DedupSafeguard set), receives each
-	// suppressed duplicate execution — a debugging hook for the
-	// optimality tests.
-	//hmc:transient(callbacks observe the run; they never change what is explored)
-	OnDuplicate func(g *eg.Graph)
 	// Workers sets the number of concurrent exploration workers (≤1:
 	// sequential). Exploration subtrees are independent — graphs are
 	// cloned per branch and the state memo is synchronized — so branches
@@ -215,7 +206,6 @@ type Stats struct {
 	Executions    int // complete consistent executions
 	ExistsCount   int // executions satisfying the program's Exists clause
 	Blocked       int // executions ending with a blocked thread
-	Duplicates    int // duplicate executions suppressed (must stay 0)
 	RevisitsTried int // backward revisit candidates considered
 	RevisitsTaken int
 	States        int // distinct exploration states visited
@@ -281,6 +271,23 @@ type Result struct {
 // Only exhaustive results are definitive verdicts (and cacheable).
 func (r *Result) Exhaustive() bool { return !r.Truncated && !r.Interrupted }
 
+// CheckDistinctKeys is the optimality check on a CollectKeys run's output:
+// it fails unless Keys holds exactly Executions distinct keys, i.e. no
+// execution was recorded twice.
+func (r *Result) CheckDistinctKeys() error {
+	if len(r.Keys) != r.Executions {
+		return fmt.Errorf("core: %d keys for %d executions", len(r.Keys), r.Executions)
+	}
+	seen := make(map[string]bool, len(r.Keys))
+	for _, k := range r.Keys {
+		if seen[k] {
+			return fmt.Errorf("core: execution recorded twice: %s", k)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
 // Explore model-checks p under opts and returns the aggregated result.
 // When opts.Context is cancelled mid-run the partial result is returned
 // with Interrupted set (not an error). A panic anywhere in the engine —
@@ -295,9 +302,6 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	sh := &shared{res: &Result{}, memo: make(map[string]bool)}
-	if opts.DedupSafeguard {
-		sh.seen = make(map[string]bool)
-	}
 	if opts.Workers > 1 {
 		sh.sem = make(chan struct{}, opts.Workers-1)
 	}
@@ -465,14 +469,13 @@ func (e *explorer) key(g *eg.Graph) string {
 }
 
 // shared is the exploration state common to all workers. The mutex guards
-// the result, the state memo and the dedup table; the stop flag is atomic
+// the result and the state memo; the stop flag is atomic
 // so branch loops can poll it without locking. Exploration subtrees only
 // read the graph they were handed (strict replay never mutates) and clone
 // before extending, so the graph itself needs no synchronization.
 type shared struct {
 	mu          sync.Mutex
 	res         *Result
-	seen        map[string]bool // complete-execution keys (DedupSafeguard)
 	memo        map[string]bool // semantic exploration-state keys
 	engineErr   *EngineError    // first recovered panic (guarded by mu)
 	stop        atomic.Bool
@@ -546,15 +549,17 @@ func (e *explorer) fork(task func()) {
 }
 
 // visit explores all extensions of g. Exploration states are memoized on
-// their semantic key (per-thread events with values, rf and co): replay is
-// deterministic, so two graphs with equal keys have identical futures, and
-// each state — in particular each complete execution — is explored exactly
-// once. The memo is also what guarantees termination: the state space of a
-// bounded program is finite, while revisit chains on load-buffering and
-// spinlock shapes could otherwise rebuild semantically identical graphs
-// forever. RMW chains do not need it: their update→update pairs are
-// reached forward by chain steals and never backward-revisited (see
-// revisitsFrom), so counters run with MemoHits = 0.
+// their semantic key (per-thread events with values, rf and co), and only
+// the first graph to reach a key is explored, so each state — in
+// particular each complete execution — is explored once. Equal keys need
+// not have identical futures: the key ignores stamps, which steer revisit
+// keep-sets (see assertSameExploration). The memo is also what guarantees
+// termination: the state space of a bounded program is finite, while
+// revisit chains on load-buffering and spinlock shapes could otherwise
+// rebuild semantically identical graphs forever. RMW chains do not need
+// it: their update→update pairs are reached forward by chain steals and
+// never backward-revisited (see revisitsFrom), so counters run with
+// MemoHits = 0.
 func (e *explorer) visit(g *eg.Graph) {
 	if e.sink != nil {
 		*e.sink = append(*e.sink, g)
@@ -664,15 +669,15 @@ func (e *explorer) visit(g *eg.Graph) {
 		}()
 		return
 	}
-	e.complete(g)
+	e.complete(g, key)
 }
 
-// complete records a finished execution. The final state is computed
-// outside the lock (pure graph read); everything else — dedup, counters,
-// key collection and the user callback — runs under it, so OnExecution
-// invocations are serialized even in parallel mode.
-func (e *explorer) complete(g *eg.Graph) {
-	key := e.key(g)
+// complete records a finished execution under its state key, which visit
+// already computed. The final state is computed outside the lock (pure
+// graph read); everything else — counters, key collection and the user
+// callback — runs under it, so OnExecution invocations are serialized even
+// in parallel mode.
+func (e *explorer) complete(g *eg.Graph, key string) {
 	var fs prog.FinalState
 	if e.p.Exists != nil || e.opts.OnExecution != nil {
 		fs = interp.FinalState(e.p, g, e.opts.MaxSteps)
@@ -681,16 +686,6 @@ func (e *explorer) complete(g *eg.Graph) {
 	defer e.sh.mu.Unlock()
 	if e.opts.MaxExecutions > 0 && e.sh.res.Executions >= e.opts.MaxExecutions {
 		return // a parallel worker completed while the cap was being hit
-	}
-	if e.sh.seen != nil {
-		if e.sh.seen[key] {
-			e.sh.res.Duplicates++
-			if e.opts.OnDuplicate != nil {
-				e.opts.OnDuplicate(g)
-			}
-			return
-		}
-		e.sh.seen[key] = true
 	}
 	e.sh.res.Executions++
 	if e.p.Exists != nil && e.p.Exists(fs) {

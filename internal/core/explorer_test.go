@@ -10,7 +10,7 @@ import (
 )
 
 // explore runs p under the named model, or under opts.Model when preset,
-// with the dedup safeguard on.
+// collecting keys and failing the test if any execution was recorded twice.
 func explore(t *testing.T, p *prog.Program, model string, opts Options) *Result {
 	t.Helper()
 	m, err := memmodel.ByName(model)
@@ -20,20 +20,30 @@ func explore(t *testing.T, p *prog.Program, model string, opts Options) *Result 
 	if opts.Model == nil {
 		opts.Model = m
 	}
-	opts.DedupSafeguard = true
+	opts.CollectKeys = true
 	res, err := Explore(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDistinctKeys(t, p.Name, res)
 	return res
+}
+
+// assertDistinctKeys fails the test unless res (a CollectKeys run) holds
+// exactly Executions distinct execution keys.
+func assertDistinctKeys(t testing.TB, label string, res *Result) {
+	t.Helper()
+	if err := res.CheckDistinctKeys(); err != nil {
+		t.Errorf("%s: optimality violated: %v", label, err)
+	}
 }
 
 // TestCorpusVerdictsAndCounts is the end-to-end correctness test: for every
 // litmus test and every model, the explorer must (a) observe the weak
 // outcome iff the model allows it, (b) match the hand-computed execution
-// count where present, (c) never explore an execution twice (optimality),
-// and (d) never leave a read without a consistent rf option
-// (extensibility).
+// count where present, (c) never explore an execution twice (optimality,
+// checked by explore), and (d) never leave a read without a consistent rf
+// option (extensibility).
 func TestCorpusVerdictsAndCounts(t *testing.T) {
 	for _, tc := range litmus.Corpus() {
 		for model, allowed := range tc.Allowed {
@@ -45,10 +55,6 @@ func TestCorpusVerdictsAndCounts(t *testing.T) {
 			if want, ok := tc.Executions[model]; ok && res.Executions != want {
 				t.Errorf("%s under %s: %d executions, want %d",
 					tc.Name, model, res.Executions, want)
-			}
-			if res.Duplicates != 0 {
-				t.Errorf("%s under %s: %d duplicate executions (optimality violated)",
-					tc.Name, model, res.Duplicates)
 			}
 			if res.StuckReads != 0 {
 				t.Errorf("%s under %s: %d stuck reads (extensibility violated)",
@@ -204,18 +210,30 @@ func TestOnExecutionCallback(t *testing.T) {
 	}
 }
 
+// TestCollectKeysDistinct: explore asserts the keys are distinct; this
+// pins that a CollectKeys run collects one key per execution.
 func TestCollectKeysDistinct(t *testing.T) {
 	p, _ := litmus.ByName("IRIW")
 	res := explore(t, p.P, "relaxed", Options{CollectKeys: true})
-	seen := map[string]bool{}
-	for _, k := range res.Keys {
-		if seen[k] {
-			t.Fatalf("duplicate execution key %q", k)
-		}
-		seen[k] = true
-	}
-	if len(res.Keys) != res.Executions {
+	if res.Executions == 0 || len(res.Keys) != res.Executions {
 		t.Fatalf("%d keys for %d executions", len(res.Keys), res.Executions)
+	}
+}
+
+// TestCheckDistinctKeysFires shows the optimality check can fail: a
+// repeated key, or a key count that disagrees with Executions, is
+// reported.
+func TestCheckDistinctKeysFires(t *testing.T) {
+	if err := (&Result{Stats: Stats{Executions: 2}, Keys: []string{"a", "b"}}).CheckDistinctKeys(); err != nil {
+		t.Fatalf("distinct keys rejected: %v", err)
+	}
+	for _, r := range []*Result{
+		{Stats: Stats{Executions: 2}, Keys: []string{"a", "a"}},
+		{Stats: Stats{Executions: 3}, Keys: []string{"a", "b"}},
+	} {
+		if err := r.CheckDistinctKeys(); err == nil {
+			t.Errorf("keys %q for %d executions accepted", r.Keys, r.Executions)
+		}
 	}
 }
 
@@ -234,9 +252,6 @@ func TestRMWChainExecutions(t *testing.T) {
 	}
 	if res.ExistsCount != 0 {
 		t.Fatal("atomic increments must never lose updates")
-	}
-	if res.Duplicates != 0 {
-		t.Fatalf("inc(3) duplicates = %d", res.Duplicates)
 	}
 }
 

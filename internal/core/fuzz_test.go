@@ -93,8 +93,8 @@ func decodeProgram(data []byte) *prog.Program {
 // FuzzExplore throws decoder-generated programs at the exploration engine
 // under every model and checks the engine's own invariants: no panics
 // (an EngineError here is a real bug, surfaced structurally by the
-// recovery boundary instead of crashing the fuzzer), no duplicate
-// executions (optimality), and no stuck reads (revisit completeness).
+// recovery boundary instead of crashing the fuzzer), no execution key
+// recorded twice (optimality), and no stuck reads (revisit completeness).
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 0, 5, 1, 9}, uint8(0))
 	f.Add([]byte{2, 2, 2, 1, 3, 1, 17, 2, 0, 7, 1, 19}, uint8(1))
@@ -110,11 +110,11 @@ func FuzzExplore(f *testing.F) {
 			t.Fatal(err)
 		}
 		res, err := Explore(p, Options{
-			Model:          m,
-			MaxExecutions:  256,
-			MaxEvents:      48,
-			MaxSteps:       64,
-			DedupSafeguard: true,
+			Model:         m,
+			MaxExecutions: 256,
+			MaxEvents:     48,
+			MaxSteps:      64,
+			CollectKeys:   true,
 		})
 		if err != nil {
 			if ee, ok := AsEngineError(err); ok {
@@ -123,9 +123,8 @@ func FuzzExplore(f *testing.F) {
 			}
 			t.Fatalf("explore error under %s: %v\nprogram:\n%s", name, err, p)
 		}
-		if res.Duplicates != 0 {
-			t.Fatalf("optimality violated under %s: %d duplicate executions\nprogram:\n%s",
-				name, res.Duplicates, p)
+		if err := res.CheckDistinctKeys(); err != nil {
+			t.Fatalf("optimality violated under %s: %v\nprogram:\n%s", name, err, p)
 		}
 		if res.StuckReads != 0 {
 			t.Fatalf("%d stuck reads under %s (revisit incompleteness)\nprogram:\n%s",

@@ -146,7 +146,7 @@ func TestCheckpointOnPreCancelledContext(t *testing.T) {
 	cancel()
 	p := gen.SBN(2)
 	sc, _ := memmodel.ByName("sc")
-	base := Options{Model: sc, CollectKeys: true, DedupSafeguard: true}
+	base := Options{Model: sc, CollectKeys: true}
 
 	opts := base
 	opts.Context = ctx
@@ -183,7 +183,7 @@ func TestCheckpointOnPreCancelledContext(t *testing.T) {
 func TestCheckpointOnMidRunCancel(t *testing.T) {
 	p := gen.IncN(3, 3)
 	sc, _ := memmodel.ByName("sc")
-	base := Options{Model: sc, CollectKeys: true, DedupSafeguard: true}
+	base := Options{Model: sc, CollectKeys: true}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -250,7 +250,7 @@ func resumeToCompletion(t *testing.T, p *prog.Program, base Options, cp *Checkpo
 func TestCheckpointOnMaxExecutions(t *testing.T) {
 	p := gen.SBN(3)
 	sc, _ := memmodel.ByName("sc")
-	base := Options{Model: sc, CollectKeys: true, DedupSafeguard: true, MaxExecutions: 3}
+	base := Options{Model: sc, CollectKeys: true, MaxExecutions: 3}
 
 	opts := base
 	opts.Checkpoint = &CheckpointOptions{}
@@ -313,7 +313,7 @@ func TestCheckpointOnMaxEvents(t *testing.T) {
 func TestCheckpointOnMemoryBudget(t *testing.T) {
 	p := gen.SBN(2)
 	sc, _ := memmodel.ByName("sc")
-	base := Options{Model: sc, CollectKeys: true, DedupSafeguard: true}
+	base := Options{Model: sc, CollectKeys: true}
 
 	opts := base
 	opts.MemoryBudget = 1 // any live heap exceeds one byte
@@ -352,13 +352,15 @@ func TestCheckpointOnMemoryBudget(t *testing.T) {
 // inside the checkpoints (witness graphs and all) across a kill/resume
 // chain.
 func TestNoCheckpointOnHardStop(t *testing.T) {
-	b := prog.NewBuilder("always-fails")
+	// The stale read fails the assertion first; the fresh read is explored
+	// after it, so a kill can land after the failure.
+	b := prog.NewBuilder("stale-read-fails")
 	x := b.Loc("x")
 	t0 := b.Thread()
-	r := t0.Load(x)
-	t0.Assert(prog.Ne(prog.R(r), prog.R(r)), "always false")
+	t0.Store(x, prog.Const(1))
 	t1 := b.Thread()
-	t1.Store(x, prog.Const(1))
+	r := t1.Load(x)
+	t1.Assert(prog.Eq(prog.R(r), prog.Const(1)), "stale read")
 	p := b.MustBuild()
 	sc, _ := memmodel.ByName("sc")
 
@@ -373,13 +375,39 @@ func TestNoCheckpointOnHardStop(t *testing.T) {
 		t.Error("hard stop produced a checkpoint from an incomplete frontier")
 	}
 
-	// Errors survive checkpointing: chain kills without StopOnError and
-	// check the final error set (including decodable witnesses) matches.
+	// Errors survive checkpointing: kill at the first branch point after
+	// an assertion failure, check the checkpoint carries the failure
+	// through the wire format, then chain kills from there and check the
+	// final error set (including decodable witnesses) matches.
 	straight := explore(t, p, "sc", Options{CollectKeys: true})
-	if len(straight.Errors) == 0 {
-		t.Fatal("expected assertion failures in the full run")
+	if len(straight.Errors) == 0 || straight.Executions == 0 {
+		t.Fatalf("want assertion failures and executions in the full run, got %d and %d",
+			len(straight.Errors), straight.Executions)
 	}
-	resumed, _ := runChained(t, p, "sc", Options{}, 2)
+	k := 2
+	for ; k <= straight.States+straight.MemoHits; k++ {
+		res, err := Explore(p, Options{Model: sc, CollectKeys: true, FailAfter: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Checkpoint != nil && len(res.Checkpoint.Errors) > 0 {
+			cp := encodeDecode(t, res.Checkpoint)
+			errs, err := DecodeErrorReports(cp.Errors)
+			if err != nil || len(errs) == 0 {
+				t.Fatalf("checkpoint errors did not round-trip: %d reports, %v", len(errs), err)
+			}
+			for i, er := range errs {
+				if er.Graph == nil || er.Graph.CheckWellFormed() != nil || er.Msg == "" {
+					t.Errorf("checkpointed error %d lost its witness or message: %+v", i, er)
+				}
+			}
+			break
+		}
+	}
+	if k > straight.States+straight.MemoHits {
+		t.Fatal("no kill point lands after an assertion failure")
+	}
+	resumed, _ := runChained(t, p, "sc", Options{}, k)
 	assertSameExploration(t, "errors across resume chain", straight, resumed, true)
 	for i, er := range resumed.Errors {
 		if er.Graph == nil {

@@ -62,11 +62,10 @@ func TestLegacyModelCheckpointCompatible(t *testing.T) {
 			t.Fatal("cross-path resume chain did not terminate")
 		}
 		res, err := Explore(p, Options{
-			Model:          models[leg%2],
-			DedupSafeguard: true,
-			CollectKeys:    true,
-			FailAfter:      6,
-			ResumeFrom:     resume,
+			Model:       models[leg%2],
+			CollectKeys: true,
+			FailAfter:   6,
+			ResumeFrom:  resume,
 		})
 		if err != nil {
 			t.Fatalf("leg %d (%T): %v", leg, models[leg%2], err)

@@ -12,18 +12,20 @@ import (
 )
 
 // exploreBoth runs p sequentially and with 8 workers and returns both
-// results, with keys collected and the dedup safeguard armed.
+// results, with keys collected and checked distinct.
 func exploreBoth(t *testing.T, p *prog.Program, model memmodel.Model) (seq, par *Result) {
 	t.Helper()
 	var err error
-	seq, err = Explore(p, Options{Model: model, CollectKeys: true, DedupSafeguard: true})
+	seq, err = Explore(p, Options{Model: model, CollectKeys: true})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	par, err = Explore(p, Options{Model: model, CollectKeys: true, DedupSafeguard: true, Workers: 8})
+	par, err = Explore(p, Options{Model: model, CollectKeys: true, Workers: 8})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
+	assertDistinctKeys(t, p.Name+" sequential", seq)
+	assertDistinctKeys(t, p.Name+" parallel", par)
 	return seq, par
 }
 
@@ -45,7 +47,7 @@ func sameKeySet(a, b []string) bool {
 
 // TestParallelMatchesSequentialCorpus checks that parallel exploration
 // visits exactly the sequential execution set — same executions, same
-// blocked count, zero duplicates — on every litmus test under every model.
+// blocked count, distinct keys — on every litmus test under every model.
 func TestParallelMatchesSequentialCorpus(t *testing.T) {
 	for _, name := range memmodel.Names() {
 		model, err := memmodel.ByName(name)
@@ -54,9 +56,6 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 		}
 		for _, lt := range litmus.Corpus() {
 			seq, par := exploreBoth(t, lt.P, model)
-			if par.Duplicates != 0 {
-				t.Errorf("%s/%s: parallel produced %d duplicates", name, lt.Name, par.Duplicates)
-			}
 			if par.Executions != seq.Executions || par.Blocked != seq.Blocked ||
 				par.ExistsCount != seq.ExistsCount {
 				t.Errorf("%s/%s: parallel (exec=%d blocked=%d exists=%d) != sequential (exec=%d blocked=%d exists=%d)",
@@ -84,9 +83,6 @@ func TestParallelMatchesSequentialGen(t *testing.T) {
 		}
 		for _, p := range progs {
 			seq, par := exploreBoth(t, p, model)
-			if par.Duplicates != 0 {
-				t.Errorf("%s/%s: parallel produced %d duplicates", name, p.Name, par.Duplicates)
-			}
 			if !sameKeySet(seq.Keys, par.Keys) {
 				t.Errorf("%s/%s: parallel found %d executions, sequential %d",
 					name, p.Name, par.Executions, seq.Executions)

@@ -41,9 +41,9 @@ func assertPruneEquivalent(t *testing.T, name string, p *prog.Program, model str
 			name, model, pruned.Executions, base.Executions, pruned.ExistsCount, base.ExistsCount,
 			pruned.Blocked, base.Blocked, len(pruned.Errors), len(base.Errors))
 	}
-	if pruned.Duplicates != 0 || pruned.StuckReads != 0 {
-		t.Errorf("%s under %s: pruned run has %d duplicates, %d stuck reads",
-			name, model, pruned.Duplicates, pruned.StuckReads)
+	assertDistinctKeys(t, name+" under "+model+" (pruned)", pruned)
+	if pruned.StuckReads != 0 {
+		t.Errorf("%s under %s: pruned run has %d stuck reads", name, model, pruned.StuckReads)
 	}
 	if pruned.DepViolations != 0 {
 		t.Errorf("%s under %s: %d dynamic deps outside static sets:\n%s",

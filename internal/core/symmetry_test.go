@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -16,13 +17,11 @@ func exploreSym(t *testing.T, p *prog.Program, model string, sym bool) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(p, Options{Model: m, Symmetry: sym, DedupSafeguard: true, CollectKeys: true})
+	res, err := Explore(p, Options{Model: m, Symmetry: sym, CollectKeys: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Duplicates != 0 {
-		t.Fatalf("%s: %d duplicates with symmetry=%v", p.Name, res.Duplicates, sym)
-	}
+	assertDistinctKeys(t, fmt.Sprintf("%s symmetry=%v", p.Name, sym), res)
 	return res
 }
 
@@ -172,16 +171,17 @@ func TestSymmetryNoGroupsIsIdentityRun(t *testing.T) {
 func TestSymmetryWithWorkers(t *testing.T) {
 	p := gen.IncN(3, 2)
 	m, _ := memmodel.ByName("tso")
-	seq, err := Explore(p, Options{Model: m, Symmetry: true, DedupSafeguard: true})
+	seq, err := Explore(p, Options{Model: m, Symmetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Explore(p, Options{Model: m, Symmetry: true, DedupSafeguard: true, Workers: 8})
+	par, err := Explore(p, Options{Model: m, Symmetry: true, CollectKeys: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Executions != par.Executions || par.Duplicates != 0 {
-		t.Errorf("parallel symmetric run: %d executions (%d dups), sequential: %d",
-			par.Executions, par.Duplicates, seq.Executions)
+	assertDistinctKeys(t, "parallel symmetric run", par)
+	if seq.Executions != par.Executions {
+		t.Errorf("parallel symmetric run: %d executions, sequential: %d",
+			par.Executions, seq.Executions)
 	}
 }

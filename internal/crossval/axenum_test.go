@@ -13,8 +13,9 @@ import (
 )
 
 // refCompare runs the graph explorer and the herd-style reference
-// enumerator and diffs their execution sets (not just final states).
-func refCompare(t *testing.T, p *prog.Program, model string) (missing, extra, dups int, refN int) {
+// enumerator and diffs their execution sets (not just final states). It
+// fails the test if the explorer recorded any execution twice.
+func refCompare(t *testing.T, p *prog.Program, model string) (missing, extra, refN int) {
 	t.Helper()
 	m, err := memmodel.ByName(model)
 	if err != nil {
@@ -24,9 +25,12 @@ func refCompare(t *testing.T, p *prog.Program, model string) (missing, extra, du
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.Explore(p, core.Options{Model: m, DedupSafeguard: true, CollectKeys: true})
+	got, err := core.Explore(p, core.Options{Model: m, CollectKeys: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := got.CheckDistinctKeys(); err != nil {
+		t.Errorf("%s under %s: %v", p.Name, model, err)
 	}
 	gotSet := map[string]bool{}
 	for _, k := range got.Keys {
@@ -42,7 +46,7 @@ func refCompare(t *testing.T, p *prog.Program, model string) (missing, extra, du
 			extra++
 		}
 	}
-	return missing, extra, got.Duplicates, ref.Consistent
+	return missing, extra, ref.Consistent
 }
 
 // TestCorpusAgainstReference checks, for every litmus test and every
@@ -57,10 +61,9 @@ func refCompare(t *testing.T, p *prog.Program, model string) (missing, extra, du
 func TestCorpusAgainstReference(t *testing.T) {
 	for _, tc := range corpusForRef() {
 		for _, model := range memmodel.Names() {
-			missing, extra, dups, _ := refCompare(t, tc.p, model)
-			if extra != 0 || dups != 0 {
-				t.Errorf("%s under %s: extra=%d duplicates=%d",
-					tc.name, model, extra, dups)
+			missing, extra, _ := refCompare(t, tc.p, model)
+			if extra != 0 {
+				t.Errorf("%s under %s: extra=%d", tc.name, model, extra)
 			}
 			if missing != 0 && model != "relaxed" {
 				t.Errorf("%s under %s: %d executions missed", tc.name, model, missing)
@@ -101,15 +104,12 @@ func TestRandomAgainstReference(t *testing.T) {
 			continue // keep the reference enumeration tractable
 		}
 		for _, model := range memmodel.Names() {
-			missing, extra, dups, refN := refCompare(t, p, model)
+			missing, extra, refN := refCompare(t, p, model)
 			if extra != 0 {
 				t.Errorf("%s under %s: %d spurious executions (soundness violated)", p.Name, model, extra)
 			}
 			if missing != 0 && model != "relaxed" {
 				t.Errorf("%s under %s: %d/%d executions missed", p.Name, model, missing, refN)
-			}
-			if dups != 0 {
-				t.Errorf("%s under %s: %d duplicate executions", p.Name, model, dups)
 			}
 		}
 	}
@@ -128,9 +128,9 @@ func TestUpdateFamiliesAgainstReference(t *testing.T) {
 		gen.SpinlockN(2, eg.FenceLW), gen.IndexerN(2), gen.Peterson(eg.FenceLW),
 	} {
 		for _, model := range memmodel.Names() {
-			missing, extra, dups, refN := refCompare(t, p, model)
-			if extra != 0 || dups != 0 {
-				t.Errorf("%s under %s: extra=%d duplicates=%d", p.Name, model, extra, dups)
+			missing, extra, refN := refCompare(t, p, model)
+			if extra != 0 {
+				t.Errorf("%s under %s: extra=%d", p.Name, model, extra)
 			}
 			if missing != 0 && model != "relaxed" {
 				t.Errorf("%s under %s: %d/%d executions missed", p.Name, model, missing, refN)

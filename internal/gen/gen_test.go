@@ -16,12 +16,12 @@ func explore(t *testing.T, p *prog.Program, model string) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Explore(p, core.Options{Model: m, DedupSafeguard: true})
+	res, err := core.Explore(p, core.Options{Model: m, CollectKeys: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Duplicates != 0 {
-		t.Fatalf("%s under %s: %d duplicates", p.Name, model, res.Duplicates)
+	if err := res.CheckDistinctKeys(); err != nil {
+		t.Fatalf("%s under %s: %v", p.Name, model, err)
 	}
 	return res
 }

@@ -299,6 +299,67 @@ func TestJournalReplaysShardedSubmitAsPlainJob(t *testing.T) {
 	}
 }
 
+// TestJournalReplaysV1CheckpointFresh: a checkpoint journaled by an
+// engine with wire version 1 (which carried the "seen" dedup set) cannot
+// be resumed. Replay drops it and runs the job from scratch instead of
+// failing it.
+func TestJournalReplaysV1CheckpointFresh(t *testing.T) {
+	tso, err := memmodel.ByName("tso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := mustTest(t, "SB")
+	part, err := core.Explore(sb, core.Options{Model: tso, FailAfter: 3})
+	if err != nil || part.Checkpoint == nil {
+		t.Fatalf("no checkpoint from FailAfter run: %v", err)
+	}
+	data, err := part.Checkpoint.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, core.CheckpointVersion), `"version":1`, 1)
+	v1 = strings.TrimSuffix(v1, "}") + `,"seen":[]}`
+	dir := t.TempDir()
+	var lines []byte
+	for _, rec := range []jrec{
+		{Type: jrecSubmit, Schema: core.SchemaVersion, ID: "job-000007", Test: "SB", Model: "tso"},
+		{Type: jrecCheckpoint, Schema: core.SchemaVersion, ID: "job-000007", Checkpoint: json.RawMessage(v1)},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal-000000001.jsonl"), lines, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, JournalDir: dir})
+	defer s.Shutdown(context.Background())
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("service never became ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	v := waitState(t, s, "job-000007")
+	if v.State != StateDone || v.Result == nil {
+		t.Fatalf("replayed job: state=%s err=%q", v.State, v.Err)
+	}
+	if v.Resumed || s.Metrics().ResumeSavedExecs.Load() != 0 {
+		t.Fatalf("v1 checkpoint was resumed (Resumed=%v, saved execs %d)", v.Resumed, s.Metrics().ResumeSavedExecs.Load())
+	}
+	straight, err := core.Explore(sb, core.Options{Model: tso})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := v.Result; r.Executions != straight.Executions || r.ExistsCount != straight.ExistsCount || !r.Exhaustive() {
+		t.Fatalf("fresh run diverges: execs=%d exists=%d exhaustive=%v, straight execs=%d exists=%d",
+			r.Executions, r.ExistsCount, r.Exhaustive(), straight.Executions, straight.ExistsCount)
+	}
+}
+
 // TestVerdictCachePersists: a verdict computed before a graceful restart
 // answers the same submission from cache afterwards.
 func TestVerdictCachePersists(t *testing.T) {
