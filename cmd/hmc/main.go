@@ -660,9 +660,9 @@ func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, 
 		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d revisits=%d/%d (taken/tried) chain-skipped=%d max-graph=%d\n",
 			res.States, res.MemoHits, res.ConsistencyChecks,
 			res.RevisitsTaken, res.RevisitsTried, res.RevisitsChainSkipped, res.MaxGraphEvents)
-		fmt.Fprintf(out, "  repair-fails=%d (diverged=%d inconsistent=%d doomed=%d oota=%d)\n",
+		fmt.Fprintf(out, "  repair-fails=%d (diverged=%d inconsistent=%d doomed=%d oota=%d) repair-replays=%d skipped-clean=%d\n",
 			res.RevisitsRepairFail, res.RevisitsRepairFailDiverged, res.RevisitsRepairFailInconsistent,
-			res.RevisitsRepairFailDoomed, res.RevisitsRepairFailOOTA)
+			res.RevisitsRepairFailDoomed, res.RevisitsRepairFailOOTA, res.RepairReplays, res.RepairSkippedClean)
 		if static {
 			fmt.Fprintf(out, "  static-pruned: rf=%d co=%d revisit-scans=%d\n",
 				res.StaticPrunedRf, res.StaticPrunedCo, res.StaticPrunedScans)

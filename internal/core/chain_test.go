@@ -76,7 +76,8 @@ func TestRepairFailCausesSumToTotal(t *testing.T) {
 // TestTraceNamesSkippedAndFailedRevisits: the JSONL trace carries a
 // "chain" prune for every scan the filter cut, and a "revisit-failed"
 // event with a cause for every failed revisit — matching the counters,
-// which the final progress snapshot reports too.
+// which the final progress snapshot reports too (in the sink and in the
+// trace), along with the repair replay counters.
 func TestTraceNamesSkippedAndFailedRevisits(t *testing.T) {
 	var buf bytes.Buffer
 	var final obs.ProgressSnapshot
@@ -84,13 +85,21 @@ func TestTraceNamesSkippedAndFailedRevisits(t *testing.T) {
 		Trace:    obs.NewTracer(&buf),
 		Progress: &ProgressOptions{Sink: func(s obs.ProgressSnapshot) { final = s }},
 	})
-	got := [6]int{final.RevisitsChainSkipped, final.RevisitsRepairFail, final.RevisitsRepairFailDiverged,
-		final.RevisitsRepairFailInconsistent, final.RevisitsRepairFailDoomed, final.RevisitsRepairFailOOTA}
-	want := [6]int{res.RevisitsChainSkipped, res.RevisitsRepairFail, res.RevisitsRepairFailDiverged,
-		res.RevisitsRepairFailInconsistent, res.RevisitsRepairFailDoomed, res.RevisitsRepairFailOOTA}
-	if !final.Final || got != want {
+	counters := func(s obs.ProgressSnapshot) [8]int {
+		return [8]int{s.RevisitsChainSkipped, s.RevisitsRepairFail, s.RevisitsRepairFailDiverged,
+			s.RevisitsRepairFailInconsistent, s.RevisitsRepairFailDoomed, s.RevisitsRepairFailOOTA,
+			s.RepairReplays, s.RepairSkippedClean}
+	}
+	want := [8]int{res.RevisitsChainSkipped, res.RevisitsRepairFail, res.RevisitsRepairFailDiverged,
+		res.RevisitsRepairFailInconsistent, res.RevisitsRepairFailDoomed, res.RevisitsRepairFailOOTA,
+		res.RepairReplays, res.RepairSkippedClean}
+	if got := counters(final); !final.Final || got != want {
 		t.Errorf("final snapshot (final=%v) reports %v, result %v", final.Final, got, want)
 	}
+	if res.RepairReplays == 0 || res.RepairSkippedClean == 0 {
+		t.Errorf("repair counters replays=%d skipped-clean=%d, want both > 0", res.RepairReplays, res.RepairSkippedClean)
+	}
+	var traced obs.ProgressSnapshot
 	chain := 0
 	causes := map[string]int{}
 	dec := json.NewDecoder(&buf)
@@ -100,11 +109,16 @@ func TestTraceNamesSkippedAndFailedRevisits(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch {
+		case ev.Kind == "snapshot" && ev.Snapshot != nil:
+			traced = *ev.Snapshot
 		case ev.Kind == "prune" && ev.Prune == "chain":
 			chain += ev.Count
 		case ev.Kind == "revisit-failed":
 			causes[ev.Cause]++
 		}
+	}
+	if got := counters(traced); !traced.Final || got != want {
+		t.Errorf("last traced snapshot (final=%v) reports %v, result %v", traced.Final, got, want)
 	}
 	if chain == 0 || chain != res.RevisitsChainSkipped {
 		t.Errorf("chain prunes traced %d, RevisitsChainSkipped=%d (want equal, > 0)", chain, res.RevisitsChainSkipped)

@@ -121,6 +121,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 		RevisitsTried, RevisitsTaken, RevisitsRepairFail, RevisitsPorf int
 		ConsistencyChecks, StuckReads, MaxGraphEvents, Errs, DepViol   int
 		StaticPrunedRf, StaticPrunedCo, StaticPrunedScans              int
+		RepairReplays, RepairSkippedClean                              int
 		Truncated                                                      bool
 		Reason                                                         string
 	}
@@ -130,6 +131,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 			r.RevisitsTried, r.RevisitsTaken, r.RevisitsRepairFail, r.RevisitsPorfSkip,
 			r.ConsistencyChecks, r.StuckReads, r.MaxGraphEvents, len(r.Errors), r.DepViolations,
 			r.StaticPrunedRf, r.StaticPrunedCo, r.StaticPrunedScans,
+			r.RepairReplays, r.RepairSkippedClean,
 			r.Truncated, r.TruncatedReason,
 		}
 		if !strict {
@@ -137,6 +139,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 			c.RevisitsRepairFail, c.RevisitsPorf, c.ConsistencyChecks = 0, 0, 0
 			c.MaxGraphEvents = 0
 			c.StaticPrunedRf, c.StaticPrunedCo, c.StaticPrunedScans = 0, 0, 0
+			c.RepairReplays, c.RepairSkippedClean = 0, 0
 		}
 		return c
 	}

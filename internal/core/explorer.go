@@ -230,6 +230,11 @@ type Stats struct {
 	ConsistencyChecks    int
 	StuckReads           int // reads with no consistent rf option (must stay 0)
 	MaxGraphEvents       int
+	// Replay repair after a rebind (revisits and chain steals): thread
+	// replays run, and thread slots a full sweep would have replayed
+	// although no patch had changed their inputs (interp.RepairFrom).
+	RepairReplays      int
+	RepairSkippedClean int
 	// Static-pruning counters (Options.StaticAnalysis): work skipped
 	// because the location footprint proved it fruitless.
 	StaticPrunedRf    int // non-co-maximal rf candidates skipped (thread-local locations)
@@ -744,6 +749,17 @@ func (e *explorer) consistent(g *eg.Graph) bool {
 	return ok
 }
 
+// repair propagates a rebind of a read in thread seed through g
+// (interp.RepairFrom) and counts the thread replays it ran and skipped.
+func (e *explorer) repair(g *eg.Graph, seed int) bool {
+	rs, ok := interp.RepairFrom(e.p, g, e.opts.MaxSteps, seed)
+	e.count(func(s *Stats) {
+		s.RepairReplays += rs.Replays
+		s.RepairSkippedClean += rs.SkippedClean
+	})
+	return ok
+}
+
 // count applies a Stats mutation under the shared lock.
 func (e *explorer) count(f func(*Stats)) {
 	e.sh.mu.Lock()
@@ -808,7 +824,7 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 		g2.SetRF(id, w)
 		if ev.Kind == eg.KUpdate {
 			g2.CoInsert(a.Loc, g2.CoIndex(a.Loc, w)+1, id)
-			if u, ok := updateReading(g, a.Loc, w); ok {
+			if u, ok := updateReading(g, w); ok {
 				// Chain steal: u now reads the new update; its written
 				// value (and anything downstream) needs repair. If the
 				// rebind diverges structurally (u's thread branches on
@@ -816,7 +832,7 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				// of u, which deletes and re-derives the affected suffix.
 				pre := g2.Clone()
 				g2.SetRF(u, id)
-				if !interp.RepairAll(e.p, g2, e.opts.MaxSteps) {
+				if !e.repair(g2, u.T) {
 					e.revisit(pre, id, u)
 					continue
 				}
@@ -846,19 +862,17 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 	}
 }
 
-// updateReading returns the update event that reads from w at loc, if any
-// (at most one exists in an atomicity-consistent graph).
-func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (eg.EvID, bool) {
+// updateReading returns the update event that reads from w, if any (at
+// most one exists in an atomicity-consistent graph; the po-last one is
+// returned otherwise).
+func updateReading(g *eg.Graph, w eg.EvID) (eg.EvID, bool) {
 	var found eg.EvID
 	ok := false
-	g.ForEach(func(ev eg.Event) {
-		if ev.Kind == eg.KUpdate && ev.Loc == loc {
-			if src, has := g.RF(ev.ID); has && src == w {
-				found = ev.ID
-				ok = true
-			}
+	for _, rd := range g.ReadersOf(w) {
+		if g.EventRef(rd).Kind == eg.KUpdate {
+			found, ok = rd, true
 		}
-	})
+	}
 	return found, ok
 }
 

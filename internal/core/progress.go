@@ -123,6 +123,8 @@ func (e *explorer) snapshotProgress(frontier int, final bool) obs.ProgressSnapsh
 		RevisitsRepairFailInconsistent: s.RevisitsRepairFailInconsistent,
 		RevisitsRepairFailDoomed:       s.RevisitsRepairFailDoomed,
 		RevisitsRepairFailOOTA:         s.RevisitsRepairFailOOTA,
+		RepairReplays:                  s.RepairReplays,
+		RepairSkippedClean:             s.RepairSkippedClean,
 		Elapsed:                        elapsed,
 		ExecsPerSec:                    obs.Rate(s.Executions, elapsed),
 		ChecksPerSec:                   obs.Rate(s.ConsistencyChecks, elapsed),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hmc/internal/eg"
-	"hmc/internal/interp"
 )
 
 // revisitsFrom attempts a backward revisit of every same-location read by
@@ -31,7 +30,7 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 	chain := g.Event(w).Kind == eg.KUpdate
 	skipped := 0
 	var reads []eg.EvID
-	g.ForEach(func(ev eg.Event) {
+	g.ForEach(func(ev *eg.Event) {
 		if !ev.Kind.IsRead() || ev.Loc != loc || ev.ID == w {
 			return
 		}
@@ -183,7 +182,7 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 		g2.CoInsert(loc, g2.CoIndex(loc, w)+1, r)
 	}
 
-	repaired := interp.RepairAll(e.p, g2, e.opts.MaxSteps)
+	repaired := e.repair(g2, r.T)
 	e.tRevisit.Stop(ts)
 	if !repaired {
 		return failDiverged
@@ -215,7 +214,7 @@ func keepSet(g *eg.Graph, w, r eg.EvID) map[eg.EvID]bool {
 		}
 	}
 	rStamp := g.Event(r).Stamp
-	g.ForEach(func(ev eg.Event) {
+	g.ForEach(func(ev *eg.Event) {
 		if ev.Stamp < rStamp {
 			push(ev.ID)
 		}
@@ -252,7 +251,7 @@ func pruneTainted(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
 	taintedWrites := map[eg.EvID]bool{}
 	for changed := true; changed; {
 		changed = false
-		g.ForEach(func(ev eg.Event) {
+		g.ForEach(func(ev *eg.Event) {
 			if !keep[ev.ID] {
 				return
 			}
@@ -283,7 +282,7 @@ func pruneTainted(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
 		doomed[id] = true
 		return true
 	}
-	g.ForEach(func(ev eg.Event) {
+	g.ForEach(func(ev *eg.Event) {
 		if !keep[ev.ID] || ev.ID == r {
 			return
 		}
@@ -297,7 +296,7 @@ func pruneTainted(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
 	})
 	for changed := true; changed; {
 		changed = false
-		g.ForEach(func(ev eg.Event) {
+		g.ForEach(func(ev *eg.Event) {
 			if !keep[ev.ID] || doomed[ev.ID] {
 				return
 			}

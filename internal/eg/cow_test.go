@@ -190,3 +190,104 @@ func TestCloneEquivalentToDeepCopy(t *testing.T) {
 		t.Fatalf("COW clone ill-formed: %v", err)
 	}
 }
+
+// TestRFSlices covers rf kept as per-thread slices beside the events:
+// copy-on-write isolation, restriction, renaming, reader order and the
+// well-formedness check on the slot of a non-read.
+func TestRFSlices(t *testing.T) {
+	const x, y = Loc(0), Loc(1)
+	wx, wy := EvID{T: 0, I: 0}, EvID{T: 0, I: 1}
+	ry, rx := EvID{T: 1, I: 0}, EvID{T: 1, I: 1}
+
+	t.Run("SetRFOnCloneLeavesParent", func(t *testing.T) {
+		g := buildMP(t)
+		c := g.Clone()
+		c.SetRF(rx, wx)
+		c.SetRF(ry, InitID(y))
+		if w, _ := g.RF(rx); w != InitID(x) {
+			t.Fatalf("parent rx reads %v, want init", w)
+		}
+		if w, _ := g.RF(ry); w != wy {
+			t.Fatalf("parent ry reads %v, want %v", w, wy)
+		}
+		if rs := g.ReadersOf(wx); len(rs) != 0 {
+			t.Fatalf("parent gained readers of %v: %v", wx, rs)
+		}
+		if w, _ := c.RF(rx); w != wx {
+			t.Fatalf("clone rx reads %v, want %v", w, wx)
+		}
+	})
+
+	t.Run("RestrictDropsEdgesToDeletedWrites", func(t *testing.T) {
+		g := buildMP(t)
+		g.SetRF(rx, wx)
+		// Keep wx and thread 1, drop wy: ry loses its source, rx keeps it.
+		sub := g.Restrict(func(id EvID) bool { return id != wy })
+		if _, ok := sub.RF(ry); ok {
+			t.Fatal("ry still reads the deleted wy")
+		}
+		if w, ok := sub.RF(rx); !ok || w != wx {
+			t.Fatalf("rx reads %v (%v), want %v", w, ok, wx)
+		}
+		if err := sub.CheckWellFormed(); err == nil {
+			t.Fatal("a read without rf must be ill-formed until rebound")
+		}
+		sub.SetRF(ry, InitID(y))
+		if err := sub.CheckWellFormed(); err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := g.RF(ry); w != wy {
+			t.Fatalf("Restrict changed the source graph: ry reads %v", w)
+		}
+	})
+
+	t.Run("RenameThreadsPermutesRF", func(t *testing.T) {
+		g := buildMP(t)
+		h := g.RenameThreads([]int{1, 0})
+		if w, ok := h.RF(EvID{T: 0, I: 0}); !ok || w != (EvID{T: 1, I: 1}) {
+			t.Fatalf("renamed ry reads %v (%v), want t1:1", w, ok)
+		}
+		if w, ok := h.RF(EvID{T: 0, I: 1}); !ok || w != InitID(x) {
+			t.Fatalf("renamed rx reads %v (%v), want init", w, ok)
+		}
+		if _, ok := h.RF(EvID{T: 1, I: 0}); ok {
+			t.Fatal("renamed write has an rf edge")
+		}
+		if err := h.CheckWellFormed(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("ReadersOfInThreadIndexOrder", func(t *testing.T) {
+		g := NewGraph(3, 1)
+		w := EvID{T: 1, I: 0}
+		g.Add(Event{ID: w, Kind: KWrite, Loc: 0, Val: 1})
+		g.CoInsert(0, 0, w)
+		// Bind readers in an order unlike (T, I): the answer is sorted.
+		for _, r := range []EvID{{T: 2, I: 0}, {T: 0, I: 0}, {T: 2, I: 1}, {T: 0, I: 1}, {T: 1, I: 1}} {
+			g.Add(Event{ID: r, Kind: KRead, Loc: 0})
+		}
+		for _, r := range []EvID{{T: 2, I: 1}, {T: 0, I: 1}, {T: 1, I: 1}, {T: 0, I: 0}, {T: 2, I: 0}} {
+			g.SetRF(r, w)
+		}
+		g.SetRF(EvID{T: 2, I: 0}, InitID(0)) // not a reader of w after all
+		want := []EvID{{T: 0, I: 0}, {T: 0, I: 1}, {T: 1, I: 1}, {T: 2, I: 1}}
+		got := g.ReadersOf(w)
+		if len(got) != len(want) {
+			t.Fatalf("ReadersOf = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ReadersOf = %v, want %v", got, want)
+			}
+		}
+	})
+
+	t.Run("CheckWellFormedRejectsRFOnNonRead", func(t *testing.T) {
+		g := buildMP(t)
+		g.rf[wy.T][wy.I] = wx
+		if err := g.CheckWellFormed(); err == nil {
+			t.Fatal("an rf entry on a write must be ill-formed")
+		}
+	})
+}

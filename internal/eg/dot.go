@@ -46,9 +46,11 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 
 	// Init events, only those actually read from (less clutter).
 	usedInit := map[EvID]bool{}
-	for _, src := range g.rf {
-		if src.IsInit() {
-			usedInit[src] = true
+	for _, srcs := range g.rf {
+		for _, src := range srcs {
+			if src.IsInit() {
+				usedInit[src] = true
+			}
 		}
 	}
 	for l := 0; l < g.numLocs; l++ {
@@ -70,15 +72,14 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 		sb.WriteString("  }\n")
 	}
 
-	// rf edges.
-	ids := make([]EvID, 0, len(g.rf))
-	for r := range g.rf {
-		ids = append(ids, r)
-	}
-	SortEvIDs(ids)
-	for _, r := range ids {
-		fmt.Fprintf(&sb, "  %s -> %s [color=darkgreen, label=rf, fontcolor=darkgreen];\n",
-			node(g.rf[r]), node(r))
+	// rf edges, in reader (thread, index) order.
+	for t, srcs := range g.rf {
+		for i, src := range srcs {
+			if src != noRF {
+				fmt.Fprintf(&sb, "  %s -> %s [color=darkgreen, label=rf, fontcolor=darkgreen];\n",
+					node(src), node(EvID{T: t, I: i}))
+			}
+		}
 	}
 
 	// co edges between consecutive writes (including init).
@@ -91,7 +92,7 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 	}
 
 	// Dependency edges (fixed kind order keeps output deterministic).
-	g.ForEach(func(ev Event) {
+	g.ForEach(func(ev *Event) {
 		for _, dk := range []struct {
 			kind string
 			set  []EvID

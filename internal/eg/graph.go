@@ -2,36 +2,45 @@ package eg
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Graph is an execution graph under construction or complete. It owns the
-// per-thread event sequences, the reads-from map and the per-location
-// coherence orders. The zero value is unusable; construct with NewGraph.
+// per-thread event sequences, the per-thread reads-from slices and the
+// per-location coherence orders. The zero value is unusable; construct
+// with NewGraph.
 //
 // Invariants (checked by CheckWellFormed):
 //   - threads[t] holds events with IDs {T: t, I: 0..len-1} in order;
-//   - every read/update has an rf edge to a same-location write (or init);
+//   - every read/update has an rf edge to a same-location write (or init),
+//     and no other event has one;
 //   - co[l] lists exactly the non-init writes/updates to location l, in
 //     coherence order (the init write is implicitly first);
 //   - stamps are unique and reflect addition order.
 type Graph struct {
 	numLocs int
 	threads [][]Event
-	rf      map[EvID]EvID
-	co      [][]EvID
-	next    int // next stamp
+	// rf[t][i] is the write event (t, i) reads from, or noRF for
+	// non-reads and for reads whose source Restrict deleted. It runs
+	// beside threads[t], index for index.
+	rf   [][]EvID
+	co   [][]EvID
+	next int // next stamp
 
-	// Copy-on-write state. Clone shares the thread slices, the rf map and
-	// the co lists between parent and clone; a piece is deep-copied only
-	// when a graph that does not own it is about to mutate it. A false flag
-	// means "possibly shared: copy before writing".
+	// Copy-on-write state. Clone shares the thread slices (events and rf
+	// together) and the co lists between parent and clone; a piece is
+	// deep-copied only when a graph that does not own it is about to
+	// mutate it. A false flag means "possibly shared: copy before
+	// writing"; ownT[t] covers both threads[t] and rf[t].
 	ownT  []bool
-	ownRF bool
 	ownCo []bool
 }
+
+// noRF marks an rf slot with no source: a non-read event, or a read whose
+// source Restrict deleted. Its thread is neither a program thread nor
+// InitThread, so it never names an event.
+var noRF = EvID{T: InitThread - 1}
 
 // NewGraph returns an empty graph for a program with the given number of
 // threads and shared locations. Initial writes (value 0) exist implicitly
@@ -61,24 +70,24 @@ func (g *Graph) NumEvents() int {
 }
 
 // Clone returns a copy of g (stamps preserved). The copy is lazy: parent
-// and clone share the thread slices, the rf map and the co lists until one
-// of them mutates a piece, which is deep-copied at that point. Both sides
-// give up ownership — in-place patches like SetEventVal and slice appends
-// into shared backing arrays would otherwise leak between the two graphs.
+// and clone share the thread slices (with their rf slices) and the co
+// lists until one of them mutates a piece, which is deep-copied at that
+// point. Both sides give up ownership — in-place patches like SetEventVal
+// and slice appends into shared backing arrays would otherwise leak
+// between the two graphs.
 // Clone must only be called by a goroutine with exclusive write access to
 // g (the explorer clones before forking, never on a shared graph).
 func (g *Graph) Clone() *Graph {
 	for t := range g.ownT {
 		g.ownT[t] = false
 	}
-	g.ownRF = false
 	for l := range g.ownCo {
 		g.ownCo[l] = false
 	}
 	c := &Graph{
 		numLocs: g.numLocs,
 		threads: append(make([][]Event, 0, len(g.threads)), g.threads...),
-		rf:      g.rf,
+		rf:      append(make([][]EvID, 0, len(g.rf)), g.rf...),
 		co:      append(make([][]EvID, 0, len(g.co)), g.co...),
 		next:    g.next,
 		ownT:    make([]bool, len(g.threads)),
@@ -87,27 +96,15 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// ownThread ensures g exclusively owns threads[t] before a mutation,
-// copying the shared slice if necessary.
+// ownThread ensures g exclusively owns threads[t] and rf[t] before a
+// mutation, copying the shared slices if necessary.
 func (g *Graph) ownThread(t int) {
 	if g.ownT[t] {
 		return
 	}
 	g.threads[t] = append(make([]Event, 0, len(g.threads[t])+1), g.threads[t]...)
+	g.rf[t] = append(make([]EvID, 0, len(g.rf[t])+1), g.rf[t]...)
 	g.ownT[t] = true
-}
-
-// ownRFMap ensures g exclusively owns its rf map before a mutation.
-func (g *Graph) ownRFMap() {
-	if g.ownRF {
-		return
-	}
-	m := make(map[EvID]EvID, len(g.rf)+1)
-	for r, w := range g.rf { //hmc:nondet(map-to-map copy: same entries land regardless of order)
-		m[r] = w
-	}
-	g.rf = m
-	g.ownRF = true
 }
 
 // ownCoLoc ensures g exclusively owns co[l] before a mutation.
@@ -136,6 +133,7 @@ func (g *Graph) Add(ev Event) {
 	g.next++
 	g.ownThread(t)
 	g.threads[t] = append(g.threads[t], ev)
+	g.rf[t] = append(g.rf[t], noRF)
 }
 
 // Has reports whether the event id is present (init events always are).
@@ -158,6 +156,11 @@ func (g *Graph) Event(id EvID) Event {
 	return g.threads[id.T][id.I]
 }
 
+// EventRef returns a pointer to the non-init event id, for reading it in
+// place. The event must not be modified through the pointer, and the
+// pointer goes stale at the next mutation of thread id.T.
+func (g *Graph) EventRef(id EvID) *Event { return &g.threads[id.T][id.I] }
+
 // SetRF records that read r reads from write w. Both must be present,
 // r must be a read/update, w a write/update/init, and locations must match.
 func (g *Graph) SetRF(r, w EvID) {
@@ -172,36 +175,33 @@ func (g *Graph) SetRF(r, w EvID) {
 	if re.Loc != we.Loc {
 		panic(fmt.Sprintf("eg: SetRF location mismatch %v vs %v", re, we))
 	}
-	g.ownRFMap()
-	g.rf[r] = w
+	g.ownThread(r.T)
+	g.rf[r.T][r.I] = w
 }
 
-// HasReaders reports whether any read in the graph reads from w.
-func (g *Graph) HasReaders(w EvID) bool {
-	for _, src := range g.rf { //hmc:nondet(existential scan: any reader answers, order-invariant)
-		if src == w {
-			return true
-		}
-	}
-	return false
-}
-
-// ReadersOf returns the reads whose rf source is w, in stable order.
+// ReadersOf returns the reads whose rf source is w, in (thread, index)
+// order.
 func (g *Graph) ReadersOf(w EvID) []EvID {
 	var out []EvID
-	for r, src := range g.rf {
-		if src == w {
-			out = append(out, r)
+	for t, srcs := range g.rf {
+		for i, src := range srcs {
+			if src == w {
+				out = append(out, EvID{T: t, I: i})
+			}
 		}
 	}
-	SortEvIDs(out)
 	return out
 }
 
 // RF returns the write that read r reads from.
 func (g *Graph) RF(r EvID) (EvID, bool) {
-	w, ok := g.rf[r]
-	return w, ok
+	if r.T < 0 || r.T >= len(g.rf) || r.I < 0 || r.I >= len(g.rf[r.T]) {
+		return EvID{}, false
+	}
+	if w := g.rf[r.T][r.I]; w != noRF {
+		return w, true
+	}
+	return EvID{}, false
 }
 
 // CoLoc returns the coherence order of location l, excluding the implicit
@@ -261,12 +261,12 @@ func (g *Graph) ValueOf(w EvID) int64 {
 	if w.IsInit() {
 		return 0
 	}
-	return g.Event(w).Val
+	return g.threads[w.T][w.I].Val
 }
 
 // ReadValue returns the value observed by read r via its rf edge.
 func (g *Graph) ReadValue(r EvID) (int64, bool) {
-	w, ok := g.rf[r]
+	w, ok := g.RF(r)
 	if !ok {
 		return 0, false
 	}
@@ -313,10 +313,9 @@ func newOwned(numThreads, numLocs int) *Graph {
 	g := &Graph{
 		numLocs: numLocs,
 		threads: make([][]Event, numThreads),
-		rf:      make(map[EvID]EvID),
+		rf:      make([][]EvID, numThreads),
 		co:      make([][]EvID, numLocs),
 		ownT:    make([]bool, numThreads),
-		ownRF:   true,
 		ownCo:   make([]bool, numLocs),
 	}
 	for t := range g.ownT {
@@ -341,11 +340,13 @@ func (g *Graph) LastEvent(t int) (Event, bool) {
 // MaxStamp returns the largest stamp assigned so far.
 func (g *Graph) MaxStamp() int { return g.next - 1 }
 
-// ForEach calls fn for every non-init event in (thread, index) order.
-func (g *Graph) ForEach(fn func(Event)) {
+// ForEach calls fn for every non-init event in (thread, index) order. The
+// event is read in place: fn must not modify it or keep the pointer past
+// the next mutation of g.
+func (g *Graph) ForEach(fn func(*Event)) {
 	for _, th := range g.threads {
-		for _, ev := range th {
-			fn(ev)
+		for i := range th {
+			fn(&th[i])
 		}
 	}
 }
@@ -374,10 +375,13 @@ func (g *Graph) Restrict(keep func(EvID) bool) *Graph {
 			}
 		}
 		c.threads[t] = append([]Event(nil), th[:cut]...)
+		c.rf[t] = append([]EvID(nil), g.rf[t][:cut]...)
 	}
-	for r, w := range g.rf { //hmc:nondet(filtered map-to-map copy: membership test per entry, order-invariant)
-		if c.Has(r) && c.Has(w) {
-			c.rf[r] = w
+	for _, srcs := range c.rf {
+		for i, w := range srcs {
+			if w != noRF && !c.Has(w) {
+				srcs[i] = noRF
+			}
 		}
 	}
 	for l, ws := range g.co {
@@ -417,14 +421,16 @@ func (g *Graph) Key() string {
 				b = append(b, 'R')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
 				b = append(b, '<')
-				appendID(g.rf[ev.ID])
+				src, _ := g.RF(ev.ID)
+				appendID(src)
 			case KUpdate:
 				b = append(b, 'U')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
 				b = append(b, '=')
 				b = strconv.AppendInt(b, ev.Val, 10)
 				b = append(b, '<')
-				appendID(g.rf[ev.ID])
+				src, _ := g.RF(ev.ID)
+				appendID(src)
 			case KWrite:
 				b = append(b, 'W')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
@@ -467,7 +473,7 @@ func (g *Graph) StringNamed(locName func(Loc) string) string {
 			sb.WriteString("  ")
 			sb.WriteString(ev.StringNamed(locName))
 			if ev.Kind.IsRead() {
-				if w, ok := g.rf[ev.ID]; ok {
+				if w, ok := g.RF(ev.ID); ok {
 					src := w.String()
 					if w.IsInit() {
 						src = "init[" + locName(Loc(w.I)) + "]"
@@ -497,6 +503,9 @@ func (g *Graph) StringNamed(locName func(Loc) string) string {
 func (g *Graph) CheckWellFormed() error {
 	seen := map[int]EvID{0: {T: InitThread, I: 0}}
 	for t, th := range g.threads {
+		if len(g.rf[t]) != len(th) {
+			return fmt.Errorf("thread %d has %d events but %d rf slots", t, len(th), len(g.rf[t]))
+		}
 		for i, ev := range th {
 			if ev.ID.T != t || ev.ID.I != i {
 				return fmt.Errorf("event at thread %d pos %d has ID %v", t, i, ev.ID)
@@ -505,8 +514,11 @@ func (g *Graph) CheckWellFormed() error {
 				return fmt.Errorf("duplicate stamp %d on %v and %v", ev.Stamp, prev, ev.ID)
 			}
 			seen[ev.Stamp] = ev.ID
+			if !ev.Kind.IsRead() && g.rf[t][i] != noRF {
+				return fmt.Errorf("non-read %v has an rf edge to %v", ev.ID, g.rf[t][i])
+			}
 			if ev.Kind.IsRead() {
-				w, ok := g.rf[ev.ID]
+				w, ok := g.RF(ev.ID)
 				if !ok {
 					return fmt.Errorf("read %v has no rf edge", ev.ID)
 				}
@@ -530,12 +542,6 @@ func (g *Graph) CheckWellFormed() error {
 			}
 		}
 	}
-	//hmc:nondet(validation sweep: pass/fail is order-invariant; the offending edge in the error is diagnostic only)
-	for r := range g.rf {
-		if !g.Has(r) {
-			return fmt.Errorf("rf edge from absent read %v", r)
-		}
-	}
 	for l := 0; l < g.numLocs; l++ {
 		inCo := map[EvID]bool{}
 		for _, w := range g.co[l] {
@@ -552,7 +558,7 @@ func (g *Graph) CheckWellFormed() error {
 			}
 		}
 		count := 0
-		g.ForEach(func(ev Event) {
+		g.ForEach(func(ev *Event) {
 			if ev.Kind.IsWrite() && ev.Loc == Loc(l) {
 				count++
 				if !inCo[ev.ID] {
@@ -567,15 +573,4 @@ func (g *Graph) CheckWellFormed() error {
 		}
 	}
 	return nil
-}
-
-// SortEvIDs sorts ids in (thread, index) order with init events first.
-func SortEvIDs(ids []EvID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		return a.I < b.I
-	})
 }

@@ -19,9 +19,6 @@ func TestGraphAccessors(t *testing.T) {
 	g.Add(Event{ID: r, Kind: KRead, Loc: 0, Val: 1})
 	g.SetRF(r, w)
 
-	if !g.HasReaders(w) || g.HasReaders(w2) {
-		t.Error("HasReaders wrong")
-	}
 	if rs := g.ReadersOf(w); len(rs) != 1 || rs[0] != r {
 		t.Errorf("ReadersOf = %v", rs)
 	}

@@ -48,7 +48,7 @@ func TestAddAndEventAccess(t *testing.T) {
 func TestStampsMonotone(t *testing.T) {
 	g := buildMP(t)
 	var prev int
-	g.ForEach(func(ev Event) {
+	g.ForEach(func(ev *Event) {
 		if ev.Stamp <= 0 {
 			t.Errorf("event %v has stamp %d", ev.ID, ev.Stamp)
 		}
@@ -132,7 +132,7 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	c.SetRF(EvID{T: 1, I: 1}, EvID{T: 0, I: 0})
 	if w, _ := g.RF(EvID{T: 1, I: 1}); !w.IsInit() {
-		t.Fatal("clone shares rf map")
+		t.Fatal("clone shares rf storage")
 	}
 	if g.Key() == c.Key() {
 		t.Fatal("distinct executions must have distinct keys")
@@ -207,17 +207,6 @@ func TestCheckWellFormedCatchesCoMismatch(t *testing.T) {
 	// Write never placed into co.
 	if err := g.CheckWellFormed(); err == nil {
 		t.Fatal("write missing from co must be ill-formed")
-	}
-}
-
-func TestSortEvIDs(t *testing.T) {
-	ids := []EvID{{T: 1, I: 0}, {T: 0, I: 2}, {T: InitThread, I: 0}, {T: 0, I: 1}}
-	SortEvIDs(ids)
-	want := []EvID{{T: InitThread, I: 0}, {T: 0, I: 1}, {T: 0, I: 2}, {T: 1, I: 0}}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("sorted = %v, want %v", ids, want)
-		}
 	}
 }
 

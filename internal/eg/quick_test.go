@@ -184,7 +184,7 @@ func TestQuickKeySeparatesRF(t *testing.T) {
 		var read EvID
 		var alt EvID
 		found := false
-		g.ForEach(func(ev Event) {
+		g.ForEach(func(ev *Event) {
 			if found || ev.Kind != KRead {
 				return
 			}

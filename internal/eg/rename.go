@@ -29,17 +29,17 @@ func (g *Graph) RenameThreads(perm []int) *Graph {
 	c.next = g.next
 	for t, th := range g.threads {
 		nth := make([]Event, len(th))
+		nrf := make([]EvID, len(th))
 		for i, ev := range th {
 			ev.ID = ren(ev.ID)
 			ev.Addr = renAll(ev.Addr)
 			ev.Data = renAll(ev.Data)
 			ev.Ctrl = renAll(ev.Ctrl)
 			nth[i] = ev
+			nrf[i] = ren(g.rf[t][i]) // init sources and noRF keep their negative thread
 		}
 		c.threads[perm[t]] = nth
-	}
-	for r, w := range g.rf { //hmc:nondet(map-to-map rename: keys are distinct, so insertions commute)
-		c.rf[ren(r)] = ren(w)
+		c.rf[perm[t]] = nrf
 	}
 	for l, ws := range g.co {
 		c.co[l] = renAll(ws)

@@ -179,7 +179,7 @@ func (v *View) Rf() *relation.Rel {
 		if !ev.Kind.IsRead() {
 			continue
 		}
-		if w, ok := v.G.rf[ev.ID]; ok {
+		if w, ok := v.G.RF(ev.ID); ok {
 			r.Add(v.Idx(w), b)
 		}
 	}
@@ -247,7 +247,7 @@ func (v *View) Fr() *relation.Rel {
 		if !ev.Kind.IsRead() {
 			continue
 		}
-		w, ok := v.G.rf[ev.ID]
+		w, ok := v.G.RF(ev.ID)
 		if !ok {
 			continue
 		}

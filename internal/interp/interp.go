@@ -24,12 +24,13 @@
 //     instruction path, location, or dependency set — as non-repairable,
 //     which causes the explorer to abandon the revisit. Keeping repair
 //     value-only is what makes exploration constructive: values can never
-//     appear out of thin air.
+//     appear out of thin air. RepairFrom propagates a rebind through the
+//     graph with a dirty-thread worklist: only threads whose inputs a
+//     patch changed are replayed again.
 package interp
 
 import (
 	"fmt"
-	"sort"
 
 	"hmc/internal/eg"
 	"hmc/internal/prog"
@@ -151,7 +152,7 @@ const DefaultMaxSteps = 4096
 // verification of looping programs bounded but sound for the explored
 // prefix.
 func Next(p *prog.Program, g *eg.Graph, t int, maxSteps int) Action {
-	a, _, ok := replay(p, g, t, maxSteps, false)
+	a, _, ok := replay(p, g, t, maxSteps, false, nil)
 	if !ok {
 		panic("interp: unreachable: strict replay reported divergence")
 	}
@@ -162,18 +163,30 @@ func Next(p *prog.Program, g *eg.Graph, t int, maxSteps int) Action {
 // left behind by a revisit. It returns whether anything was patched and
 // whether the thread replays to a structurally identical event sequence.
 func Repair(p *prog.Program, g *eg.Graph, t int, maxSteps int) (changed, ok bool) {
-	_, changed, ok = replay(p, g, t, maxSteps, true)
+	_, changed, ok = replay(p, g, t, maxSteps, true, nil)
 	return changed, ok
 }
 
-// replay is the single interpreter loop behind Next and Repair.
-func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act Action, changed, ok bool) {
+// replay is the single interpreter loop behind Next and Repair. In repair
+// mode a non-nil dirty marks the threads of every read whose input a
+// patch changed: the readers of a write given a new value or flipped, and
+// the readers a demoted CAS hands to its own source.
+func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool, dirty []bool) (act Action, changed, ok bool) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
 	code := p.Threads[t]
 	regs := make([]int64, p.NumRegs[t])
 	taints := make([][]eg.EvID, p.NumRegs[t])
+	// self[i] is event i itself, the taint of the register it loads. One
+	// backing array serves every consumed read; each taint is a
+	// capacity-capped window of it, and taint sets are never modified in
+	// place.
+	self := make([]eg.EvID, g.ThreadLen(t))
+	for i := range self {
+		self[i] = eg.EvID{T: t, I: i}
+	}
+	selfTaint := func(i int) []eg.EvID { return self[i : i+1 : i+1] }
 	var ctrl []eg.EvID
 	consumed := 0
 	steps := 0
@@ -201,11 +214,21 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 		return v, taint
 	}
 
-	nextEvent := func() (eg.Event, bool) {
+	// nextEvent returns the next graph event of thread t, read in place:
+	// the pointer goes stale once the event is patched.
+	nextEvent := func() (*eg.Event, bool) {
 		if consumed < g.ThreadLen(t) {
-			return g.Event(eg.EvID{T: t, I: consumed}), true
+			return g.EventRef(eg.EvID{T: t, I: consumed}), true
 		}
-		return eg.Event{}, false
+		return nil, false
+	}
+	markReaders := func(w eg.EvID) {
+		if dirty == nil {
+			return
+		}
+		for _, rd := range g.ReadersOf(w) {
+			dirty[rd.T] = true
+		}
 	}
 
 	for {
@@ -223,7 +246,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 			return Action{Kind: ActDone, Regs: regs}, changed, true
 		}
 		cur := pc // instruction index, for Action.PC
-		in := code[pc]
+		in := &code[pc]
 		pc++
 		switch in.Op {
 		case prog.IMov:
@@ -252,7 +275,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 					return diverge("read %v has no rf", ev.ID)
 				}
 				regs[in.Dst] = v
-				taints[in.Dst] = []eg.EvID{ev.ID}
+				taints[in.Dst] = selfTaint(consumed)
 				consumed++
 				continue
 			}
@@ -279,7 +302,9 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 					if !repair {
 						return diverge("graph W x%d=%d, program writes %d", ev.Loc, ev.Val, vv)
 					}
-					g.SetEventVal(ev.ID, vv)
+					id := ev.ID
+					g.SetEventVal(id, vv)
+					markReaders(id)
 					changed = true
 				}
 				consumed++
@@ -326,40 +351,47 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				// Reconcile the event's kind and written value with the
 				// (possibly rebound) value read.
 				wantKind, wantVal := rmwOutcome(a, readVal)
+				id := ev.ID
 				if ev.Kind != wantKind {
 					if !repair {
-						return diverge("CAS %v kind %v, want %v for read value %d", ev.ID, ev.Kind, wantKind, readVal)
+						return diverge("CAS %v kind %v, want %v for read value %d", id, ev.Kind, wantKind, readVal)
 					}
-					src, _ := g.RF(ev.ID)
+					src, _ := g.RF(id)
 					if wantKind == eg.KUpdate {
-						g.SetEventKind(ev.ID, eg.KUpdate)
-						g.SetEventVal(ev.ID, wantVal)
-						g.CoInsert(loc, g.CoIndex(loc, src)+1, ev.ID)
+						// A read has no readers, so the promoted update
+						// has none either: nothing to mark.
+						g.SetEventKind(id, eg.KUpdate)
+						g.SetEventVal(id, wantVal)
+						g.CoInsert(loc, g.CoIndex(loc, src)+1, id)
 					} else {
 						// Demote to a plain read. Readers of the vanishing
 						// write inherit its rf source: they were coherence-
 						// adjacent through it, and dropping the update from
 						// co splices them onto that source. Their values are
 						// repaired on subsequent passes.
-						for _, rd := range g.ReadersOf(ev.ID) {
+						for _, rd := range g.ReadersOf(id) {
 							g.SetRF(rd, src)
+							if dirty != nil {
+								dirty[rd.T] = true
+							}
 						}
-						g.CoRemove(loc, ev.ID)
-						g.SetEventKind(ev.ID, eg.KRead)
+						g.CoRemove(loc, id)
+						g.SetEventKind(id, eg.KRead)
 					}
 					changed = true
 				} else if wantKind == eg.KUpdate && ev.Val != wantVal {
 					if !repair {
 						return diverge("graph U x%d=%d, program writes %d", ev.Loc, ev.Val, wantVal)
 					}
-					g.SetEventVal(ev.ID, wantVal)
+					g.SetEventVal(id, wantVal)
+					markReaders(id)
 					changed = true
 				}
 				regs[in.Dst] = readVal
-				taints[in.Dst] = []eg.EvID{ev.ID}
+				taints[in.Dst] = selfTaint(consumed)
 				if in.Op == prog.ICAS && in.Succ >= 0 {
 					regs[in.Succ] = b2i(wantKind == eg.KUpdate)
-					taints[in.Succ] = []eg.EvID{ev.ID}
+					taints[in.Succ] = selfTaint(consumed)
 				}
 				consumed++
 				continue
@@ -436,26 +468,69 @@ func rmwOutcome(a Action, readVal int64) (eg.Kind, int64) {
 	panic("interp: rmwOutcome on non-rmw action")
 }
 
-// RepairAll re-replays every thread until values stabilise. It returns
-// false if any thread diverges structurally or the propagation fails to
-// converge (a genuine value cycle — out-of-thin-air — which constructive
-// exploration rejects).
+// RepairStats counts the work of one repair call.
+type RepairStats struct {
+	// Replays is the number of thread replays run.
+	Replays int
+	// SkippedClean is the number of thread slots a full sweep would have
+	// replayed but whose inputs no patch had changed.
+	SkippedClean int
+}
+
+// RepairAll repairs g with every thread dirty, replaying until values
+// stabilise. It returns false if any thread diverges structurally or the
+// propagation fails to converge (a genuine value cycle —
+// out-of-thin-air — which constructive exploration rejects).
 func RepairAll(p *prog.Program, g *eg.Graph, maxSteps int) bool {
+	dirty := make([]bool, len(p.Threads))
+	for t := range dirty {
+		dirty[t] = true
+	}
+	_, ok := repairDirty(p, g, maxSteps, dirty)
+	return ok
+}
+
+// RepairFrom repairs g after the rf edge of a read in thread seed was
+// rebound. Every other thread must replay against g without a patch — as
+// every graph the explorer holds does — so only seed starts dirty. The
+// result, and every patch on the way, equals RepairAll's.
+func RepairFrom(p *prog.Program, g *eg.Graph, maxSteps, seed int) (RepairStats, bool) {
+	dirty := make([]bool, len(p.Threads))
+	dirty[seed] = true
+	return repairDirty(p, g, maxSteps, dirty)
+}
+
+// repairDirty is the dirty-thread worklist behind RepairAll and
+// RepairFrom. Sweeps go in thread order and replay only dirty threads; a
+// replay clears its thread's flag, and each patch marks its readers'
+// threads dirty (the replaying thread included). A clean thread's replay
+// would patch nothing and succeed — it already replayed to a fixed point
+// on the inputs it still sees — so every sweep makes exactly the patches
+// a sweep over all threads would. Repair succeeds after a sweep without a
+// patch and gives up after NumEvents()+2 sweeps.
+func repairDirty(p *prog.Program, g *eg.Graph, maxSteps int, dirty []bool) (RepairStats, bool) {
+	var st RepairStats
 	limit := g.NumEvents() + 2
 	for pass := 0; pass < limit; pass++ {
 		anyChange := false
-		for t := range p.Threads {
-			changed, ok := Repair(p, g, t, maxSteps)
+		for t := range dirty {
+			if !dirty[t] {
+				st.SkippedClean++
+				continue
+			}
+			dirty[t] = false
+			st.Replays++
+			_, changed, ok := replay(p, g, t, maxSteps, true, dirty)
 			if !ok {
-				return false
+				return st, false
 			}
 			anyChange = anyChange || changed
 		}
 		if !anyChange {
-			return true
+			return st, true
 		}
 	}
-	return false
+	return st, false
 }
 
 func locOf(p *prog.Program, v int64) (eg.Loc, error) {
@@ -474,7 +549,7 @@ func b2i(b bool) int64 {
 
 // sameDeps compares an event's recorded dependency sets against freshly
 // computed taints.
-func sameDeps(ev eg.Event, addr, data, ctrl []eg.EvID) bool {
+func sameDeps(ev *eg.Event, addr, data, ctrl []eg.EvID) bool {
 	return equalIDs(ev.Addr, addr) && equalIDs(ev.Data, data) && equalIDs(ev.Ctrl, ctrl)
 }
 
@@ -499,26 +574,35 @@ func cloneIDs(ids []eg.EvID) []eg.EvID {
 	return append([]eg.EvID(nil), ids...)
 }
 
-// unionIDs returns the sorted union of two EvID sets.
+// unionIDs returns the union of two EvID sets, each sorted in (thread,
+// index) order without duplicates, by merging them. An empty input
+// returns the other one itself: taint sets are never modified in place,
+// so sharing them is safe.
 func unionIDs(a, b []eg.EvID) []eg.EvID {
 	if len(b) == 0 {
 		return a
 	}
-	out := append(cloneIDs(a), b...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return out[i].I < out[j].I
-	})
-	k := 0
-	for i, id := range out {
-		if i == 0 || id != out[k-1] {
-			out[k] = id
-			k++
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]eg.EvID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch x, y := a[i], b[j]; {
+		case x == y:
+			out = append(out, x)
+			i++
+			j++
+		case x.T < y.T || (x.T == y.T && x.I < y.I):
+			out = append(out, x)
+			i++
+		default:
+			out = append(out, y)
+			j++
 		}
 	}
-	return out[:k]
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // FinalState assembles the observable final state of a complete execution:

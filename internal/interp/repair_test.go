@@ -63,6 +63,51 @@ func TestRepairAllConverges(t *testing.T) {
 	}
 }
 
+func TestRepairFromReplaysDirtyThreads(t *testing.T) {
+	// T0: r = load x; store y = r+1. T1: store x = 5. T2: r2 = load y;
+	// store z = r2. Rebinding r to T1's write patches y, which dirties
+	// T2 (y's reader) in the same sweep; T1 reads nothing and is never
+	// replayed. The second sweep finds nothing dirty and ends repair.
+	b := prog.NewBuilder("dirty")
+	x, y, z := b.Loc("x"), b.Loc("y"), b.Loc("z")
+	t0 := b.Thread()
+	r := t0.Load(x)
+	t0.Store(y, prog.Add(prog.R(r), prog.Const(1)))
+	t1 := b.Thread()
+	t1.Store(x, prog.Const(5))
+	t2 := b.Thread()
+	r2 := t2.Load(y)
+	t2.Store(z, prog.R(r2))
+	p := b.MustBuild()
+
+	g := eg.NewGraph(3, 3)
+	rd, wy := eg.EvID{T: 0, I: 0}, eg.EvID{T: 0, I: 1}
+	wx := eg.EvID{T: 1, I: 0}
+	rd2, wz := eg.EvID{T: 2, I: 0}, eg.EvID{T: 2, I: 1}
+	g.Add(eg.Event{ID: rd, Kind: eg.KRead, Loc: x})
+	g.SetRF(rd, eg.InitID(x))
+	g.Add(eg.Event{ID: wy, Kind: eg.KWrite, Loc: y, Val: 1, Data: []eg.EvID{rd}})
+	g.CoInsert(y, 0, wy)
+	g.Add(eg.Event{ID: wx, Kind: eg.KWrite, Loc: x, Val: 5})
+	g.CoInsert(x, 0, wx)
+	g.Add(eg.Event{ID: rd2, Kind: eg.KRead, Loc: y})
+	g.SetRF(rd2, wy)
+	g.Add(eg.Event{ID: wz, Kind: eg.KWrite, Loc: z, Val: 1, Data: []eg.EvID{rd2}})
+	g.CoInsert(z, 0, wz)
+	g.SetRF(rd, wx) // the rebind
+
+	rs, ok := RepairFrom(p, g, 0, rd.T)
+	if !ok {
+		t.Fatal("repair failed on a convergent graph")
+	}
+	if g.Event(wy).Val != 6 || g.Event(wz).Val != 6 {
+		t.Fatalf("patched y=%d z=%d, want 6 and 6", g.Event(wy).Val, g.Event(wz).Val)
+	}
+	if want := (RepairStats{Replays: 2, SkippedClean: 4}); rs != want {
+		t.Fatalf("repair stats %+v, want %+v (two sweeps of three slots)", rs, want)
+	}
+}
+
 func TestRepairFlipsCASToRead(t *testing.T) {
 	// T0: CAS(x, 0 -> 9). The graph has it as a *successful* update
 	// reading init; rebinding it to a write of 5 must demote it to a

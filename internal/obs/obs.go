@@ -70,6 +70,11 @@ type ProgressSnapshot struct {
 	RevisitsRepairFailInconsistent int `json:"revisits_repair_fail_inconsistent,omitempty"`
 	RevisitsRepairFailDoomed       int `json:"revisits_repair_fail_doomed,omitempty"`
 	RevisitsRepairFailOOTA         int `json:"revisits_repair_fail_oota,omitempty"`
+	// RepairReplays counts thread replays run by replay repair;
+	// RepairSkippedClean counts the thread slots its sweeps skipped
+	// because no patch had changed their inputs.
+	RepairReplays      int `json:"repair_replays,omitempty"`
+	RepairSkippedClean int `json:"repair_skipped_clean,omitempty"`
 
 	// Elapsed is wall-clock time since exploration began; ExecsPerSec and
 	// ChecksPerSec are overall rates (always finite, 0 when unknown).

@@ -68,6 +68,10 @@ type Metrics struct {
 	RevisitsRepairFailInconsistent atomic.Int64
 	RevisitsRepairFailDoomed       atomic.Int64
 	RevisitsRepairFailOOTA         atomic.Int64
+	// Replay repair: thread replays run, and thread slots skipped because
+	// no patch had changed their inputs.
+	RepairReplays      atomic.Int64
+	RepairSkippedClean atomic.Int64
 
 	HTTPEncodeErrors atomic.Int64 // JSON responses whose marshal failed (500 fallback served)
 	CacheEvictions   atomic.Int64 // verdict-cache entries dropped by LRU pressure
@@ -304,6 +308,8 @@ func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCa
 	counter("hmcd_revisits_repair_fail_inconsistent_total", "Revisits repaired into a graph the model rejects.", m.RevisitsRepairFailInconsistent.Load())
 	counter("hmcd_revisits_repair_fail_doomed_total", "Revisits whose taint pruning would delete the write or the read.", m.RevisitsRepairFailDoomed.Load())
 	counter("hmcd_revisits_repair_fail_oota_total", "Revisits rejected as out-of-thin-air: repair failed and nothing was prunable.", m.RevisitsRepairFailOOTA.Load())
+	counter("hmcd_repair_replays_total", "Thread replays run by replay repair.", m.RepairReplays.Load())
+	counter("hmcd_repair_skipped_clean_total", "Thread replays repair skipped: no patch had changed the thread's inputs.", m.RepairSkippedClean.Load())
 	counterF("hmcd_phase_interp_seconds_total", "Sampled interpretation time across finished jobs.",
 		time.Duration(m.PhaseInterpNS.Load()).Seconds())
 	counterF("hmcd_phase_consistency_seconds_total", "Sampled consistency-check time across finished jobs.",
@@ -350,4 +356,6 @@ func (m *Metrics) addStats(s *core.Stats) {
 	m.RevisitsRepairFailInconsistent.Add(int64(s.RevisitsRepairFailInconsistent))
 	m.RevisitsRepairFailDoomed.Add(int64(s.RevisitsRepairFailDoomed))
 	m.RevisitsRepairFailOOTA.Add(int64(s.RevisitsRepairFailOOTA))
+	m.RepairReplays.Add(int64(s.RepairReplays))
+	m.RepairSkippedClean.Add(int64(s.RepairSkippedClean))
 }

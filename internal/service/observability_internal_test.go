@@ -106,7 +106,8 @@ func TestEvictedVerdictNotServedAfterReload(t *testing.T) {
 }
 
 // TestMetricsExportRevisitCauses: a finished job's skipped and failed
-// revisits reach /metrics, each under its own cause.
+// revisits reach /metrics, each under its own cause, and so do its repair
+// replay counters.
 func TestMetricsExportRevisitCauses(t *testing.T) {
 	var m Metrics
 	m.addStats(&core.Stats{
@@ -116,6 +117,8 @@ func TestMetricsExportRevisitCauses(t *testing.T) {
 		RevisitsRepairFailInconsistent: 2,
 		RevisitsRepairFailDoomed:       3,
 		RevisitsRepairFailOOTA:         4,
+		RepairReplays:                  11,
+		RepairSkippedClean:             12,
 	})
 	var buf strings.Builder
 	m.writePrometheus(&buf, 0, 0, 0, 0, true)
@@ -125,6 +128,8 @@ func TestMetricsExportRevisitCauses(t *testing.T) {
 		"hmcd_revisits_repair_fail_inconsistent_total 2\n",
 		"hmcd_revisits_repair_fail_doomed_total 3\n",
 		"hmcd_revisits_repair_fail_oota_total 4\n",
+		"hmcd_repair_replays_total 11\n",
+		"hmcd_repair_skipped_clean_total 12\n",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
