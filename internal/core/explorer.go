@@ -104,10 +104,12 @@ type Options struct {
 	// sequential). Exploration subtrees are independent — graphs are
 	// cloned per branch and the state memo is synchronized — so branches
 	// fork onto free workers and degrade to inline recursion when all
-	// slots are busy; no task ever waits. Results are identical to the
-	// sequential run except for ordering: Keys, Errors and the OnExecution
-	// callback sequence follow completion order, not DFS order (the
-	// callbacks themselves are serialized).
+	// slots are busy. A read step still waits for its forked rf branches
+	// (stepRead joins them to count StuckReads), so a worker can idle on
+	// that join. Results are identical to the sequential run except for
+	// ordering: Keys, Errors and the OnExecution callback sequence follow
+	// completion order, not DFS order (the callbacks themselves are
+	// serialized).
 	//hmc:transient(parallelism only reorders the same work; legs of a resume chain may differ)
 	Workers int
 	// StaticAnalysis enables static pruning: before exploration the

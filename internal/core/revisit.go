@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hmc/internal/eg"
 )
 
@@ -71,9 +73,11 @@ const (
 //
 //	V = prefix(w) ∪ prefix(r) ∪ {r}
 //
-// where prefix is the downward closure under po-predecessors and rf edges
-// — except r's own rf edge, which the revisit erases. The revisit goes
-// through when
+// together with every event added before r, where prefix is the downward
+// closure under po-predecessors and rf edges — except r's own rf edge,
+// which the revisit erases. V is closed under po-predecessors, so it is
+// a per-thread cut: one prefix length per thread (keepCut), and the
+// restriction truncates each thread. The revisit goes through when
 //
 //  1. re-replaying every thread against the rebound graph *repairs* it:
 //     kept events whose data depends on r get their written values (and
@@ -103,7 +107,7 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	// rely on replay repair to patch values (value-preserving dependency
 	// idioms survive this way).
 	ts := e.tRevisit.Start()
-	keep := keepSet(g, w, r)
+	keep := keepCut(g, w, r)
 	e.tRevisit.Stop(ts)
 	if e.rebindAndVisit(g, keep, w, r) == "" {
 		return
@@ -114,13 +118,13 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	// dependents) are deleted and re-derived instead. The state memo
 	// deduplicates any overlap between the phases.
 	ts2 := e.tRevisit.Start()
-	keep2 := keepSet(g, w, r)
+	keep2 := slices.Clone(keep)
 	pruned := pruneTainted(g, keep2, w, r)
 	e.tRevisit.Stop(ts2)
 	switch {
 	case !pruned:
 		e.revisitFailed(w, r, failDoomed)
-	case len(keep2) == len(keep):
+	case slices.Equal(keep2, keep):
 		// Nothing prunable: the divergence is a genuine value cycle
 		// (out-of-thin-air), which constructive exploration rejects.
 		e.revisitFailed(w, r, failOOTA)
@@ -150,20 +154,24 @@ func (e *explorer) revisitFailed(w, r eg.EvID, cause string) {
 	e.traceRevisitFailed(w, r, cause)
 }
 
-// rebindAndVisit restricts g to keep, rebinds r to w, repairs and — when
-// replay converges — checks consistency and explores. It returns "" when
-// the rebound graph both repaired and passed the consistency check, and
-// otherwise the cause of the failure (failDiverged or failInconsistent).
-func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) string {
+// rebindAndVisit restricts g to the cut keep, rebinds r to w, repairs
+// and — when replay converges — checks consistency and explores. It
+// returns "" when the rebound graph both repaired and passed the
+// consistency check, and otherwise the cause of the failure (failDiverged
+// or failInconsistent).
+func (e *explorer) rebindAndVisit(g *eg.Graph, keep []int, w, r eg.EvID) string {
 	if e.opts.PorfOnlyRevisits {
 		// Ablation: RC11-style revisits delete everything po-after r.
-		// If a kept event is po-after r the revisit is skipped entirely
-		// (under porf-acyclic models it would be inconsistent anyway).
-		for ev := range keep { //hmc:nondet(existential scan: any po-after hit skips, order-invariant)
-			if ev != w && ev.T == r.T && ev.I > r.I {
-				e.count(func(s *Stats) { s.RevisitsPorfSkip++ })
-				return ""
-			}
+		// If a kept event other than w is po-after r the revisit is
+		// skipped entirely (under porf-acyclic models it would be
+		// inconsistent anyway).
+		after := keep[r.T] - r.I - 1
+		if w.T == r.T && w.I > r.I {
+			after--
+		}
+		if after > 0 {
+			e.count(func(s *Stats) { s.RevisitsPorfSkip++ })
+			return ""
 		}
 	}
 
@@ -171,7 +179,7 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 	// revisit machinery itself. The consistency check and any nested
 	// exploration are attributed to their own phases.
 	ts := e.tRevisit.Start()
-	g2 := g.Restrict(func(ev eg.EvID) bool { return keep[ev] })
+	g2 := g.Restrict(keep)
 	loc := g2.Event(r).Loc
 	g2.SetRF(r, w)
 
@@ -196,134 +204,123 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 	return ""
 }
 
-// keepSet computes the events surviving the revisit (r, w): everything
-// added before r, plus the downward closure of w (and of r itself) under
-// po-predecessors and rf edges — excluding r's own rf edge, which the
-// revisit erases. Events added after r that the revisiting write does not
-// causally need are deleted and re-derived by continued exploration; the
+// keepCut computes the events surviving the revisit (r, w) as a cut: one
+// prefix length per thread. It keeps everything added before r, plus the
+// downward closure of w (and of r itself) under po-predecessors and rf
+// edges — excluding r's own rf edge, which the revisit erases. Stamps
+// increase along po, so "added before r" is a per-thread prefix, and a
+// set closed under po-predecessors stays one: the closure only raises
+// cuts. Events added after r that the revisiting write does not causally
+// need are deleted and re-derived by continued exploration; the
 // rf-closure pulls back any deleted write that a kept read still needs,
 // so the restricted graph replays. Init events are implicit and never
-// tracked.
-func keepSet(g *eg.Graph, w, r eg.EvID) map[eg.EvID]bool {
-	keep := make(map[eg.EvID]bool)
-	var stack []eg.EvID
-	push := func(id eg.EvID) {
-		if !id.IsInit() && !keep[id] {
-			keep[id] = true
-			stack = append(stack, id)
+// counted.
+func keepCut(g *eg.Graph, w, r eg.EvID) []int {
+	n := g.NumThreads()
+	cut := make([]int, n)
+	rStamp := g.EventRef(r).Stamp
+	for t := range cut {
+		for cut[t] < g.ThreadLen(t) && g.EventRef(eg.EvID{T: t, I: cut[t]}).Stamp < rStamp {
+			cut[t]++
 		}
 	}
-	rStamp := g.Event(r).Stamp
-	g.ForEach(func(ev *eg.Event) {
-		if ev.Stamp < rStamp {
-			push(ev.ID)
-		}
-	})
-	push(w)
-	push(r)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i := 0; i < id.I; i++ {
-			push(eg.EvID{T: id.T, I: i})
-		}
-		if id != r && g.Event(id).Kind.IsRead() {
-			if src, ok := g.RF(id); ok {
-				push(src)
+	cut[w.T] = max(cut[w.T], w.I+1)
+	cut[r.T] = max(cut[r.T], r.I+1)
+	// Close under the rf sources of kept reads: one forward scan per
+	// thread, resumed wherever a source raises a cut behind it.
+	scanned := make([]int, n)
+	for grown := true; grown; {
+		grown = false
+		for t := range cut {
+			for ; scanned[t] < cut[t]; scanned[t]++ {
+				id := eg.EvID{T: t, I: scanned[t]}
+				if src, ok := g.RF(id); ok && id != r && !src.IsInit() && src.I >= cut[src.T] {
+					cut[src.T] = src.I + 1
+					grown = true
+				}
 			}
 		}
 	}
-	return keep
+	return cut
 }
 
-// pruneTainted removes from keep every event whose *existence* depends on
+// pruneTainted lowers cut past every event whose *existence* depends on
 // the revisited read r: events with a control or address dependency on a
 // value-tainted read (their branch outcome or target location may change
 // when r is rebound), plus everything that transitively needs them
 // (po-successors and readers). Value-only taint (data dependencies) stays:
 // replay repair patches written values in place. It reports false when the
 // revisiting write w or r itself would have to go — the revisit is then
-// contradictory and abandoned.
-func pruneTainted(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
-	// Value taint: reads whose observed value may change when r is
-	// rebound, and writes whose stored value may change.
-	taintedReads := map[eg.EvID]bool{r: true}
-	taintedWrites := map[eg.EvID]bool{}
+// contradictory and abandoned, and cut must not be used.
+func pruneTainted(g *eg.Graph, cut []int, w, r eg.EvID) bool {
+	// Value taint, one flag pair per kept event (dense by thread): reads
+	// whose observed value may change when r is rebound, and writes whose
+	// stored value may change. An update carries both flags.
+	const taintR, taintW = 1, 2
+	base := make([]int, len(cut)+1)
+	for t, n := range cut {
+		base[t+1] = base[t] + n
+	}
+	taint := make([]uint8, base[len(cut)])
+	at := func(id eg.EvID) *uint8 { return &taint[base[id.T]+id.I] }
+	*at(r) = taintR
 	for changed := true; changed; {
 		changed = false
-		g.ForEach(func(ev *eg.Event) {
-			if !keep[ev.ID] {
-				return
-			}
-			if ev.Kind.IsWrite() && !taintedWrites[ev.ID] {
-				for _, d := range ev.Data {
-					if taintedReads[d] {
-						taintedWrites[ev.ID] = true
+		for t, n := range cut {
+			for i := 0; i < n; i++ {
+				ev, f := g.EventRef(eg.EvID{T: t, I: i}), &taint[base[t]+i]
+				if ev.Kind.IsWrite() && *f&taintW == 0 {
+					for _, d := range ev.Data {
+						if *at(d)&taintR != 0 {
+							*f |= taintW
+							changed = true
+						}
+					}
+				}
+				if ev.Kind.IsRead() && *f&taintR == 0 {
+					if src, ok := g.RF(ev.ID); ok && !src.IsInit() && *at(src)&taintW != 0 {
+						*f |= taintR
 						changed = true
 					}
 				}
 			}
-			if ev.Kind.IsRead() && !taintedReads[ev.ID] {
-				if src, ok := g.RF(ev.ID); ok && taintedWrites[src] {
-					taintedReads[ev.ID] = true
+		}
+	}
+
+	// Existence taint: a ctrl/addr dependency on a tainted read dooms the
+	// event and, with it, the rest of its thread's kept prefix. So the
+	// doomed events of each thread are a suffix of its kept prefix, and
+	// lim[t] — the cut, lowered in place — is the first doomed index.
+	lim := cut
+	for t, n := range cut {
+	seed:
+		for i := 0; i < n; i++ {
+			ev := g.EventRef(eg.EvID{T: t, I: i})
+			if ev.ID == r {
+				continue
+			}
+			for _, set := range [][]eg.EvID{ev.Ctrl, ev.Addr} {
+				for _, d := range set {
+					if *at(d)&taintR != 0 {
+						lim[t] = i
+						break seed
+					}
+				}
+			}
+		}
+	}
+	// A kept read (other than r) of a doomed write is doomed too.
+	for changed := true; changed; {
+		changed = false
+		for t := range lim {
+			for i := 0; i < lim[t]; i++ {
+				id := eg.EvID{T: t, I: i}
+				if src, ok := g.RF(id); ok && id != r && !src.IsInit() && src.I >= lim[src.T] {
+					lim[t] = i
 					changed = true
 				}
 			}
-		})
-	}
-
-	// Existence taint: ctrl/addr dependency on a tainted read, closed
-	// under po-successors and readers-of-deleted-writes.
-	doomed := map[eg.EvID]bool{}
-	mark := func(id eg.EvID) bool {
-		if !keep[id] || doomed[id] {
-			return false
 		}
-		doomed[id] = true
-		return true
 	}
-	g.ForEach(func(ev *eg.Event) {
-		if !keep[ev.ID] || ev.ID == r {
-			return
-		}
-		for _, set := range [][]eg.EvID{ev.Ctrl, ev.Addr} {
-			for _, d := range set {
-				if taintedReads[d] {
-					mark(ev.ID)
-				}
-			}
-		}
-	})
-	for changed := true; changed; {
-		changed = false
-		g.ForEach(func(ev *eg.Event) {
-			if !keep[ev.ID] || doomed[ev.ID] {
-				return
-			}
-			// po-successor of a doomed event
-			for i := 0; i < ev.ID.I; i++ {
-				if doomed[eg.EvID{T: ev.ID.T, I: i}] {
-					if mark(ev.ID) {
-						changed = true
-					}
-					return
-				}
-			}
-			// reader of a doomed write
-			if ev.Kind.IsRead() && ev.ID != r {
-				if src, ok := g.RF(ev.ID); ok && doomed[src] {
-					if mark(ev.ID) {
-						changed = true
-					}
-				}
-			}
-		})
-	}
-	if doomed[w] || doomed[r] {
-		return false
-	}
-	for id := range doomed { //hmc:nondet(set difference: deletions commute, order-invariant)
-		delete(keep, id)
-	}
-	return true
+	return w.I < lim[w.T] && r.I < lim[r.T]
 }

@@ -12,9 +12,11 @@ import (
 // Canonical form: events are listed in stamp order and re-stamped
 // contiguously on decode (1..n). Stamps may have gaps in a live graph —
 // Restrict keeps the counter at its high-water mark — but the explorer
-// only ever compares stamps for *relative* order (revisit keep-sets) and
-// excludes them from semantic keys, so renumbering preserves behaviour
-// while making encode→decode→encode byte-identical.
+// only ever compares stamps for *relative* order (a revisit keeps, per
+// thread, the prefix of events stamped before the revisited read; stamps
+// increase along po, so that prefix is a cut) and excludes them from
+// semantic keys, so renumbering preserves behaviour while making
+// encode→decode→encode byte-identical.
 
 // Codec bounds: a decoded graph description beyond these limits is
 // rejected outright, so a corrupt or adversarial snapshot cannot balloon

@@ -157,7 +157,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 		g := buildMP(t)
 		c := g.Clone()
 		key := snapshotKeyAndWF(t, g)
-		sub := g.Restrict(func(id EvID) bool { return id.T != 1 })
+		sub := g.Restrict([]int{2, 0})
 		sub.Add(Event{ID: EvID{T: 1, I: 0}, Kind: KRead, Loc: x})
 		sub.SetRF(EvID{T: 1, I: 0}, EvID{T: 0, I: 0})
 		if snapshotKeyAndWF(t, g) != key || snapshotKeyAndWF(t, c) != key {
@@ -172,7 +172,7 @@ func TestCloneEquivalentToDeepCopy(t *testing.T) {
 	const x = Loc(0)
 	g := buildMP(t)
 
-	deep := g.Restrict(func(EvID) bool { return true }) // Restrict is a deep copy
+	deep := g.Restrict(fullCut(g)) // Restrict is a deep copy
 	cow := g.Clone()
 
 	mutate := func(m *Graph) {
@@ -222,7 +222,7 @@ func TestRFSlices(t *testing.T) {
 		g := buildMP(t)
 		g.SetRF(rx, wx)
 		// Keep wx and thread 1, drop wy: ry loses its source, rx keeps it.
-		sub := g.Restrict(func(id EvID) bool { return id != wy })
+		sub := g.Restrict([]int{1, 2})
 		if _, ok := sub.RF(ry); ok {
 			t.Fatal("ry still reads the deleted wy")
 		}

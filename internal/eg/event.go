@@ -166,38 +166,11 @@ type Event struct {
 
 	// PC is the index of the generating instruction in its thread's code
 	// (zero for init events). It is provenance, not identity: excluded
-	// from Key and SameStaticEvent, so graphs built without it (the
-	// axiomatic enumerator, hand-built tests) compare as before. The
-	// static analyzer's CheckDeps sanitizer uses it to map dynamic
-	// dependency events back to instructions.
+	// from Key and from the replayer's event matching, so graphs built
+	// without it (the axiomatic enumerator, hand-built tests) compare as
+	// before. The static analyzer's CheckDeps sanitizer uses it to map
+	// dynamic dependency events back to instructions.
 	PC int
-}
-
-// SameStaticEvent reports whether two events are the same program action
-// (ignoring Stamp and dependency slices' identity): used by the replayer to
-// reconcile regenerated actions with kept graph events.
-func SameStaticEvent(a, b Event) bool {
-	if a.ID != b.ID || a.Kind != b.Kind || a.Loc != b.Loc || a.Fence != b.Fence || a.Mode != b.Mode {
-		return false
-	}
-	// For writes/updates the written value is part of the action identity;
-	// reads take their value from rf, so Val is irrelevant.
-	if a.Kind.IsWrite() && a.Val != b.Val {
-		return false
-	}
-	return sameIDs(a.Addr, b.Addr) && sameIDs(a.Data, b.Data) && sameIDs(a.Ctrl, b.Ctrl)
-}
-
-func sameIDs(a, b []EvID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (e Event) String() string {

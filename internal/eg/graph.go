@@ -327,19 +327,6 @@ func newOwned(numThreads, numLocs int) *Graph {
 	return g
 }
 
-// LastEvent returns the po-last event of thread t, or ok=false if the
-// thread has no events yet.
-func (g *Graph) LastEvent(t int) (Event, bool) {
-	th := g.threads[t]
-	if len(th) == 0 {
-		return Event{}, false
-	}
-	return th[len(th)-1], true
-}
-
-// MaxStamp returns the largest stamp assigned so far.
-func (g *Graph) MaxStamp() int { return g.next - 1 }
-
 // ForEach calls fn for every non-init event in (thread, index) order. The
 // event is read in place: fn must not modify it or keep the pointer past
 // the next mutation of g.
@@ -351,31 +338,21 @@ func (g *Graph) ForEach(fn func(*Event)) {
 	}
 }
 
-// Restrict returns a new graph containing exactly the events for which
-// keep returns true. The kept set must be po-prefix-closed per thread
-// (Restrict panics otherwise). rf edges whose reader is kept but whose
-// writer was deleted are dropped (the caller re-binds them); coherence
-// orders are filtered. Stamps of surviving events are preserved, and the
-// stamp counter stays at its high-water mark so newly added events are
-// stamped after every surviving event.
-func (g *Graph) Restrict(keep func(EvID) bool) *Graph {
+// Restrict returns a new graph holding the first cut[t] events of each
+// thread t (cut[t] ≤ ThreadLen(t)). rf edges whose reader is kept but
+// whose writer was deleted are dropped (the caller re-binds them);
+// coherence orders are filtered. Stamps of surviving events are
+// preserved, and the stamp counter stays at its high-water mark so newly
+// added events are stamped after every surviving event.
+func (g *Graph) Restrict(cut []int) *Graph {
 	c := newOwned(len(g.threads), g.numLocs)
 	c.next = g.next
 	for t, th := range g.threads {
-		cut := len(th)
-		for i, ev := range th {
-			if !keep(ev.ID) {
-				cut = i
-				break
-			}
+		if cut[t] > len(th) { // th[:cut[t]] would silently reach into spare capacity
+			panic(fmt.Sprintf("eg: Restrict cut %d beyond thread %d's %d events", cut[t], t, len(th)))
 		}
-		for i := cut; i < len(th); i++ {
-			if keep(th[i].ID) {
-				panic(fmt.Sprintf("eg: Restrict keep-set not po-prefix-closed at %v", th[i].ID))
-			}
-		}
-		c.threads[t] = append([]Event(nil), th[:cut]...)
-		c.rf[t] = append([]EvID(nil), g.rf[t][:cut]...)
+		c.threads[t] = append([]Event(nil), th[:cut[t]]...)
+		c.rf[t] = append([]EvID(nil), g.rf[t][:cut[t]]...)
 	}
 	for _, srcs := range c.rf {
 		for i, w := range srcs {
@@ -501,6 +478,25 @@ func (g *Graph) StringNamed(locName func(Loc) string) string {
 // CheckWellFormed verifies the graph invariants, returning a descriptive
 // error for the first violation found. Intended for tests and debug mode.
 func (g *Graph) CheckWellFormed() error {
+	// co[l] must list exactly the writes to l: no duplicates and only
+	// present writes to l (checked here), and every such write (checked
+	// per event below).
+	inCo := map[EvID]bool{}
+	for l := 0; l < g.numLocs; l++ {
+		for _, w := range g.co[l] {
+			if inCo[w] {
+				return fmt.Errorf("write %v appears twice in co[%d]", w, l)
+			}
+			inCo[w] = true
+			if !g.Has(w) {
+				return fmt.Errorf("co[%d] references absent %v", l, w)
+			}
+			we := g.Event(w)
+			if !we.Kind.IsWrite() || we.Loc != Loc(l) {
+				return fmt.Errorf("co[%d] contains incompatible %v", l, we)
+			}
+		}
+	}
 	seen := map[int]EvID{0: {T: InitThread, I: 0}}
 	for t, th := range g.threads {
 		if len(g.rf[t]) != len(th) {
@@ -514,6 +510,10 @@ func (g *Graph) CheckWellFormed() error {
 				return fmt.Errorf("duplicate stamp %d on %v and %v", ev.Stamp, prev, ev.ID)
 			}
 			seen[ev.Stamp] = ev.ID
+			if ev.Kind.IsWrite() && !inCo[ev.ID] {
+				// Writes are placed in co the moment they are added.
+				return fmt.Errorf("write %v missing from co[%d]", ev.ID, ev.Loc)
+			}
 			if !ev.Kind.IsRead() && g.rf[t][i] != noRF {
 				return fmt.Errorf("non-read %v has an rf edge to %v", ev.ID, g.rf[t][i])
 			}
@@ -540,36 +540,6 @@ func (g *Graph) CheckWellFormed() error {
 					}
 				}
 			}
-		}
-	}
-	for l := 0; l < g.numLocs; l++ {
-		inCo := map[EvID]bool{}
-		for _, w := range g.co[l] {
-			if inCo[w] {
-				return fmt.Errorf("write %v appears twice in co[%d]", w, l)
-			}
-			inCo[w] = true
-			if !g.Has(w) {
-				return fmt.Errorf("co[%d] references absent %v", l, w)
-			}
-			we := g.Event(w)
-			if !we.Kind.IsWrite() || we.Loc != Loc(l) {
-				return fmt.Errorf("co[%d] contains incompatible %v", l, we)
-			}
-		}
-		count := 0
-		g.ForEach(func(ev *Event) {
-			if ev.Kind.IsWrite() && ev.Loc == Loc(l) {
-				count++
-				if !inCo[ev.ID] {
-					// Writes are placed in co the moment they are added,
-					// so every write must appear.
-				}
-			}
-		})
-		missing := count - len(g.co[l])
-		if missing != 0 {
-			return fmt.Errorf("co[%d] has %d entries but graph has %d writes", l, len(g.co[l]), count)
 		}
 	}
 	return nil

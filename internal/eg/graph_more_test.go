@@ -25,15 +25,6 @@ func TestGraphAccessors(t *testing.T) {
 	if got := g.CoMax(0); got != w2 {
 		t.Errorf("CoMax = %v, want %v", got, w2)
 	}
-	if last, ok := g.LastEvent(0); !ok || last.ID != w2 {
-		t.Errorf("LastEvent(0) = %v %v", last, ok)
-	}
-	if _, ok := g.LastEvent(1); !ok {
-		t.Error("thread 1 has an event")
-	}
-	if g.MaxStamp() != 3 {
-		t.Errorf("MaxStamp = %d after 3 adds", g.MaxStamp())
-	}
 
 	// SetEventVal rewrites a write's value (repair path).
 	g.SetEventVal(w2, 9)
@@ -59,14 +50,6 @@ func TestGraphAccessors(t *testing.T) {
 		}()
 		g.CoRemove(0, w2)
 	}()
-}
-
-// TestEmptyThreadLastEvent covers the no-events branch.
-func TestEmptyThreadLastEvent(t *testing.T) {
-	g := NewGraph(1, 1)
-	if _, ok := g.LastEvent(0); ok {
-		t.Error("empty thread reported an event")
-	}
 }
 
 // TestModePredicates pins the acquire/release lattice.

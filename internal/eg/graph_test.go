@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// fullCut returns the cut that keeps every event of g.
+func fullCut(g *Graph) []int {
+	cut := make([]int, g.NumThreads())
+	for t := range cut {
+		cut[t] = g.ThreadLen(t)
+	}
+	return cut
+}
+
 // buildMP constructs the classic message-passing execution:
 //
 //	T0: W x=1; W y=1        T1: R y (from T0's Wy); R x (from init)
@@ -143,7 +152,7 @@ func TestRestrict(t *testing.T) {
 	g := buildMP(t)
 	// Drop T1's second read (a po-suffix), keep everything else.
 	dropped := EvID{T: 1, I: 1}
-	r := g.Restrict(func(id EvID) bool { return id != dropped })
+	r := g.Restrict([]int{2, 1})
 	if r.NumEvents() != 3 {
 		t.Fatalf("restricted NumEvents = %d, want 3", r.NumEvents())
 	}
@@ -164,14 +173,19 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestRestrictPanicsOnNonPrefix(t *testing.T) {
-	g := buildMP(t)
+// TestRestrictRejectsCutBeyondThread: a cut longer than its thread must
+// panic rather than slice into the thread's spare capacity.
+func TestRestrictRejectsCutBeyondThread(t *testing.T) {
+	g := NewGraph(1, 0)
+	for i := 0; i < 3; i++ { // appends leave the thread with spare capacity
+		g.Add(Event{ID: EvID{T: 0, I: i}, Kind: KFence, Fence: FenceFull})
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-prefix-closed keep set")
+			t.Fatal("expected panic for a cut beyond the thread's events")
 		}
 	}()
-	g.Restrict(func(id EvID) bool { return id != (EvID{T: 0, I: 0}) }) // drop first, keep second
+	g.Restrict([]int{4})
 }
 
 func TestKeyDistinguishesRf(t *testing.T) {
@@ -224,27 +238,6 @@ func TestEventStringForms(t *testing.T) {
 		if got := c.ev.String(); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestSameStaticEvent(t *testing.T) {
-	a := Event{ID: EvID{T: 0, I: 0}, Kind: KWrite, Loc: 0, Val: 1}
-	b := a
-	if !SameStaticEvent(a, b) {
-		t.Fatal("identical events must match")
-	}
-	b.Val = 2
-	if SameStaticEvent(a, b) {
-		t.Fatal("different written value must not match")
-	}
-	r1 := Event{ID: EvID{T: 0, I: 0}, Kind: KRead, Loc: 0, Val: 5}
-	r2 := Event{ID: EvID{T: 0, I: 0}, Kind: KRead, Loc: 0, Val: 9}
-	if !SameStaticEvent(r1, r2) {
-		t.Fatal("read value is rf-determined and must not affect identity")
-	}
-	r2.Data = []EvID{{T: 0, I: 0}}
-	if SameStaticEvent(r1, r2) {
-		t.Fatal("different deps must not match")
 	}
 }
 

@@ -109,11 +109,11 @@ func TestQuickRenameGroupAction(t *testing.T) {
 func TestQuickRestrictIdentity(t *testing.T) {
 	prop := func(rg rndGraph) bool {
 		g := rg.G
-		all := g.Restrict(func(EvID) bool { return true })
+		all := g.Restrict(fullCut(g))
 		if all.Key() != g.Key() || all.CheckWellFormed() != nil {
 			return false
 		}
-		none := g.Restrict(func(EvID) bool { return false })
+		none := g.Restrict(make([]int, g.NumThreads()))
 		return none.NumEvents() == 0 && none.CheckWellFormed() == nil
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {

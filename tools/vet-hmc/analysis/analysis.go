@@ -179,14 +179,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// IsPkgFunc reports whether obj is the package-level function pkgPath.name.
-func IsPkgFunc(obj types.Object, pkgPath, name string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // NamedType returns the named type of t after stripping pointers, or nil.
 func NamedType(t types.Type) *types.Named {
 	for {
